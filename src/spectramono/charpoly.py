@@ -2,19 +2,22 @@
 
 The label matrix of a Hermitian structure has a monic characteristic
 polynomial P(x) = det(xI - M) with real coefficients. It is computed by the
-Faddeev-LeVerrier recurrence, which stays inside the rationals (division
-only by 1..n), with a plain-integer fast path when every component is an
-integer. Determinants come from an independent elimination so the identity
-P(0) = (-1)^n det M is a genuine cross-check rather than a tautology.
+Faddeev-LeVerrier recurrence. The exact path clears denominators once: with
+D the lcm of every label component denominator, A = D * M is a Gaussian-
+integer matrix, its recurrence divides only exactly, and
+P_M(x) = D^-n * P_A(D * x). Enumerations slice principal submatrices of one
+such matrix instead of building substructures. Determinants come from an
+independent elimination so the identity P(0) = (-1)^n det M is a genuine
+cross-check rather than a tautology.
 """
 
 from __future__ import annotations
 
+import math
+
 from .combinat import colex_subsets
 from .errors import InputError, InvariantError, ModeMixError
 from .scalars import APPROX, EXACT, GaussianScalar, get_eps, rational
-
-_RAT_ONE = rational(1)
 
 
 class RealPolynomial:
@@ -185,85 +188,129 @@ def _label_components(g):
     return pairs, False
 
 
-def _pair_matmul(a, b, n):
-    out = []
-    for i in range(n):
-        arow = a[i]
-        orow = []
-        for j in range(n):
-            sre = 0
-            sim = 0
-            for k in range(n):
-                ar, ai = arow[k]
-                br, bi = b[k][j]
-                sre += ar * br - ai * bi
-                sim += ar * bi + ai * br
-            orow.append((sre, sim))
-        out.append(orow)
-    return out
+def _label_matrix(g):
+    """The label matrix of g as the char-poly kernel takes it: (entries, D).
+
+    Exact mode gives a Gaussian-integer matrix A of (re, im) int pairs and
+    the positive int D, the lcm of every component denominator, so that
+    M = A / D; D is 1 for integral labels. Approx mode gives complex entries
+    and D = None.
+    """
+    m, integral = _label_components(g)
+    if g.mode == APPROX:
+        return m, None
+    if integral:
+        return m, 1
+    d = math.lcm(*(c.denominator for row in m for pair in row for c in pair))
+    a = [
+        [
+            (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+            for re, im in row
+        ]
+        for row in m
+    ]
+    return a, d
+
+
+def _principal_submatrix(m, vertices):
+    return [[m[a][b] for b in vertices] for a in vertices]
+
+
+def _matrix_char_poly(m, d):
+    """Characteristic polynomial of a matrix in _label_matrix form."""
+    if d is None:
+        return _approx_char_poly(m)
+    return _exact_char_poly(m, d)
+
+
+def _pair_dot(row, col):
+    sre = 0
+    sim = 0
+    for (ar, ai), (br, bi) in zip(row, col):
+        sre += ar * br - ai * bi
+        sim += ar * bi + ai * br
+    return sre, sim
+
+
+def _exact_char_poly(a, d):
+    """P_M for M = A / D, from the integer recurrence on A.
+
+    A Hermitian Gaussian-integer matrix has an integer characteristic
+    polynomial, so every trace is real and every division by k is exact;
+    both are checked. Descending coefficient j of P_A is then divided by
+    D^j. The last product is only needed for its trace, so only its
+    diagonal is formed.
+    """
+    n = len(a)
+    descending = [1]
+    mk = a
+    diagonal = [row[i] for i, row in enumerate(a)]
+    for k in range(1, n + 1):
+        tr_re = 0
+        tr_im = 0
+        for re, im in diagonal:
+            tr_re += re
+            tr_im += im
+        if tr_im != 0:
+            raise InvariantError("trace of a Hermitian power must be real")
+        ck, r = divmod(-tr_re, k)
+        if r != 0:
+            raise InvariantError("integer characteristic coefficient did not divide")
+        descending.append(ck)
+        if k == n:
+            break
+        # columns of M_k + c_k I
+        cols = [list(col) for col in zip(*mk)]
+        for i, col in enumerate(cols):
+            re, im = col[i]
+            col[i] = (re + ck, im)
+        if k + 1 < n:
+            mk = [[_pair_dot(row, col) for col in cols] for row in a]
+            diagonal = [row[i] for i, row in enumerate(mk)]
+        else:
+            diagonal = [_pair_dot(row, col) for row, col in zip(a, cols)]
+    if d != 1:
+        descending = [rational(c) / d**j for j, c in enumerate(descending)]
+    return RealPolynomial(descending[::-1], EXACT)
+
+
+def _approx_char_poly(m):
+    n = len(m)
+    mk = [list(row) for row in m]
+    descending = [1.0]
+    eps = get_eps()
+    for k in range(1, n + 1):
+        tr = sum(mk[i][i] for i in range(n))
+        if abs(tr.imag) > eps * max(1.0, abs(tr.real)):
+            raise InvariantError("trace of a Hermitian power must be real")
+        ck = -tr.real / k
+        descending.append(ck)
+        if k < n:
+            for i in range(n):
+                mk[i][i] += ck
+            mk = [
+                [
+                    sum(m[i][t] * mk[t][j] for t in range(n))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+    return RealPolynomial(list(reversed(descending)), APPROX)
 
 
 def char_poly(g):
     """Monic characteristic polynomial of the label matrix of g.
 
     Faddeev-LeVerrier: M_1 = M, c_k = -trace(M_k)/k,
-    M_{k+1} = M (M_k + c_k I). Exact mode divides rationals (or integers,
-    where the division is provably exact), approx mode runs on floats.
+    M_{k+1} = M (M_k + c_k I). Exact mode runs it on the Gaussian-integer
+    matrix D * M, where every division is provably exact, and rescales;
+    approx mode runs on floats.
     """
     from .core import HermitianStructure
 
     if not isinstance(g, HermitianStructure):
         raise InputError("char_poly takes a HermitianStructure")
-    n = g.n
-    if g.mode == APPROX:
-        m, _ = _label_components(g)
-        mk = [row[:] for row in m]
-        descending = [1.0]
-        eps = get_eps()
-        for k in range(1, n + 1):
-            tr = sum(mk[i][i] for i in range(n))
-            if abs(tr.imag) > eps * max(1.0, abs(tr.real)):
-                raise InvariantError("trace of a Hermitian power must be real")
-            ck = -tr.real / k
-            descending.append(ck)
-            if k < n:
-                for i in range(n):
-                    mk[i][i] += ck
-                mk = [
-                    [
-                        sum(m[i][t] * mk[t][j] for t in range(n))
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-        return RealPolynomial(list(reversed(descending)), APPROX)
-
-    m, integral = _label_components(g)
-    mk = [row[:] for row in m]
-    descending = [_RAT_ONE]
-    for k in range(1, n + 1):
-        tr_re = 0
-        tr_im = 0
-        for i in range(n):
-            re, im = mk[i][i]
-            tr_re += re
-            tr_im += im
-        if tr_im != 0:
-            raise InvariantError("trace of a Hermitian power must be real")
-        if integral:
-            q, r = divmod(-tr_re, k)
-            if r != 0:
-                raise InvariantError("integer characteristic coefficient did not divide")
-            ck = q
-        else:
-            ck = -tr_re / k
-        descending.append(ck)
-        if k < n:
-            for i in range(n):
-                re, im = mk[i][i]
-                mk[i][i] = (re + ck, im)
-            mk = _pair_matmul(m, mk, n)
-    return RealPolynomial(list(reversed(descending)), EXACT)
+    return _matrix_char_poly(*_label_matrix(g))
 
 
 def _det_exact(pairs, n):
@@ -364,11 +411,11 @@ def determinant(g):
     return GaussianScalar.approx(re, 0.0)
 
 
-def _subset_determinant(g, subset):
-    """Elimination determinant of the principal submatrix on `subset`."""
-    m, _ = _label_components(g)
-    sub = [[m[a][b] for b in subset] for a in subset]
-    if g.mode == APPROX:
+def _subset_determinant(m, subset, mode):
+    """Elimination determinant of the principal submatrix of the
+    _label_components matrix m on `subset`."""
+    sub = _principal_submatrix(m, subset)
+    if mode == APPROX:
         return _det_approx(sub, len(subset)).real
     re, im = _det_exact(sub, len(subset))
     if im != 0:
@@ -390,19 +437,9 @@ def principal_minor_sum(g, p):
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
     m, _ = _label_components(g)
+    total = sum(_subset_determinant(m, s, g.mode) for s in colex_subsets(g.n, p))
     if g.mode == APPROX:
-        total = 0.0
-        for subset in colex_subsets(g.n, p):
-            sub = [[m[a][b] for b in subset] for a in subset]
-            total += _det_approx(sub, p).real
         return GaussianScalar.approx(total, 0.0)
-    total = rational(0)
-    for subset in colex_subsets(g.n, p):
-        sub = [[m[a][b] for b in subset] for a in subset]
-        re, im = _det_exact(sub, p)
-        if im != 0:
-            raise InvariantError("principal minor of a Hermitian matrix must be real")
-        total += re
     return GaussianScalar.exact(total, 0)
 
 

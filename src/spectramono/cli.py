@@ -43,7 +43,7 @@ from .constructions import (
 )
 from .core import Tournament, c_representation, i_representation
 from .documents import document_dict, parse_document
-from .errors import InputError, SpectramonoError, TheoremRangeError
+from .errors import InputError, InvariantError, SpectramonoError, TheoremRangeError
 from .monomorphy import is_k_spectrally_monomorphic, monomorphy_profile
 from .scalars import EXACT, GaussianScalar, rational, set_eps
 
@@ -385,8 +385,6 @@ def _cmd_c3(args):
         if det_count != c3:
             # both routes are exact; disagreement is a library bug, not an
             # input problem, so surface it loudly
-            from .errors import InvariantError
-
             raise InvariantError(
                 f"determinant count {det_count} != direct count {c3}"
             )
@@ -468,58 +466,43 @@ def _build_parser():
     return parser
 
 
-def main(argv=None):
+def _error(kind, message):
+    return {"error": {"kind": kind, "message": message}}
+
+
+def _run(argv):
+    """(report, exit code) of one command line."""
     env_eps = os.environ.get("SPECTRAMONO_EPS")
     if env_eps is not None:
         try:
             set_eps(float(env_eps))
         except (ValueError, InputError) as exc:
-            print(
-                json.dumps(
-                    {"error": {"kind": "input", "message": f"SPECTRAMONO_EPS: {exc}"}},
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            return EXIT_INPUT
+            return _error("input", f"SPECTRAMONO_EPS: {exc}"), EXIT_INPUT
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.handler(args)
+        return args.handler(args)
     except TheoremRangeError as exc:
-        print(
-            json.dumps(
-                {"error": {"kind": "theorem_range", "message": str(exc)}},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return EXIT_RANGE
+        return _error("theorem_range", str(exc)), EXIT_RANGE
     except InputError as exc:
-        print(
-            json.dumps(
-                {"error": {"kind": "input", "message": str(exc)}},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return EXIT_INPUT
+        return _error("input", str(exc)), EXIT_INPUT
+    except InvariantError:
+        # invariant violations are bugs and crash loudly
+        raise
     except SpectramonoError as exc:
-        # invariant violations are bugs and crash loudly; everything else a
-        # user can trigger lands here as an input problem
-        from .errors import InvariantError
+        # everything else a user can trigger is an input problem
+        return _error(type(exc).__name__, str(exc)), EXIT_INPUT
 
-        if isinstance(exc, InvariantError):
-            raise
-        print(
-            json.dumps(
-                {"error": {"kind": type(exc).__name__, "message": str(exc)}},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return EXIT_INPUT
-    print(json.dumps(report, indent=2, sort_keys=True))
+
+def main(argv=None):
+    report, code = _run(argv)
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (as `| head` does); what is still
+        # buffered goes nowhere, and the flush at exit has nothing to raise
+        sys.stdout = open(os.devnull, "w")
     return code
 
 

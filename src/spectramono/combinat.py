@@ -26,10 +26,3 @@ def colex_subsets(n, k):
                 yield rest + (top,)
 
     yield from rec(n, k)
-
-
-def subset_bitmask(subset):
-    mask = 0
-    for v in subset:
-        mask |= 1 << v
-    return mask

@@ -11,9 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .charpoly import RealPolynomial, char_poly, _subset_determinant
-from .combinat import colex_subsets, subset_bitmask
-from .core import HermitianStructure, substructure
+from .charpoly import (
+    RealPolynomial,
+    _label_components,
+    _label_matrix,
+    _matrix_char_poly,
+    _principal_submatrix,
+    _subset_determinant,
+    char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
+)
+from .combinat import colex_subsets
+from .core import HermitianStructure, substructure  # noqa: F401 - as char_poly
 from .errors import InputError
 from .scalars import EXACT, GaussianScalar, get_eps, rational
 
@@ -57,34 +65,26 @@ class MonomorphyReport:
     fragile: bool = False
 
 
-def _subset_poly(g, subset, cache):
-    if cache is None:
-        return char_poly(substructure(g, subset))
-    key = subset_bitmask(subset)
-    poly = cache.get(key)
-    if poly is None:
-        poly = char_poly(substructure(g, subset))
-        cache[key] = poly
-    return poly
-
-
-def is_k_spectrally_monomorphic(g, k, cache=None):
+def is_k_spectrally_monomorphic(g, k):
     """Enumerate all k-subsets and compare their characteristic polynomials.
 
     k must satisfy 1 <= k <= n; larger k has no substructures to compare and
-    is rejected rather than treated as vacuously true.
+    is rejected rather than treated as vacuously true. The label matrix is
+    built once and each subset's polynomial comes from its principal
+    submatrix, the same computation char_poly(substructure(g, subset)) does.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("is_k_spectrally_monomorphic takes a HermitianStructure")
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g.n:
         raise InputError(f"subset size must satisfy 1 <= k <= {g.n}, got {k!r}")
+    m, d = _label_matrix(g)
     reference_subset = None
     reference_poly = None
     checked = 0
     fragile_any = False
     for subset in colex_subsets(g.n, k):
         checked += 1
-        poly = _subset_poly(g, subset, cache)
+        poly = _matrix_char_poly(_principal_submatrix(m, subset), d)
         if reference_poly is None:
             reference_subset = subset
             reference_poly = poly
@@ -110,11 +110,10 @@ def is_k_spectrally_monomorphic(g, k, cache=None):
 
 
 def monomorphy_profile(g):
-    """MonomorphyReport for every k in 1..n, sharing one char-poly cache."""
+    """MonomorphyReport for every k in 1..n."""
     if not isinstance(g, HermitianStructure):
         raise InputError("monomorphy_profile takes a HermitianStructure")
-    cache = {}
-    return {k: is_k_spectrally_monomorphic(g, k, cache) for k in range(1, g.n + 1)}
+    return {k: is_k_spectrally_monomorphic(g, k) for k in range(1, g.n + 1)}
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,13 @@ def det_constancy(g, p):
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
     eps = get_eps()
+    m, _ = _label_components(g)
     reference_subset = None
     reference = None
     checked = 0
     for subset in colex_subsets(g.n, p):
         checked += 1
-        value = _subset_determinant(g, subset)
+        value = _subset_determinant(m, subset, g.mode)
         if reference is None:
             reference_subset = subset
             reference = value

@@ -48,6 +48,23 @@ def random_hermitian(r, n, span=4):
     return HermitianStructure(labels)
 
 
+def random_coprime_hermitian(r, n, span=4):
+    """Exact Hermitian structure whose label components have pairwise-coprime
+    denominators (distinct primes), so their common denominator is large."""
+    # primes above span, so no numerator cancels its denominator
+    primes = iter(p for p in range(span + 1, 400) if all(p % q for q in range(2, p)))
+    labels = [[GaussianScalar.exact(0, 0) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            re, im = (
+                rational(r.choice((-1, 1)) * r.randint(1, span)) / next(primes)
+                for _ in range(2)
+            )
+            labels[i][j] = GaussianScalar.exact(re, im)
+            labels[j][i] = labels[i][j].conj()
+    return HermitianStructure(labels)
+
+
 def random_unit_hermitian(r, n):
     """Exact Hermitian structure with every label of modulus 1."""
     labels = [[GaussianScalar.exact(0, 0) for _ in range(n)] for _ in range(n)]

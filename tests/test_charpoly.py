@@ -192,15 +192,18 @@ class TestPrincipalMinorSum:
 
 def test_coefficient_identity():
     """x^(n-p) coefficient of the characteristic polynomial equals
-    (-1)^p times the sum of the p x p principal minors."""
+    (-1)^p times the sum of the p x p principal minors. The second input
+    family has pairwise-coprime label denominators, so the integer
+    recurrence runs on D * M with a large D before rescaling."""
     r = genutil.rng(16)
-    for _ in range(25):
-        n = r.randrange(2, 7)
-        g = genutil.random_hermitian(r, n)
-        p_g = char_poly(g)
-        for p in range(1, n + 1):
-            sign = rational((-1) ** p)
-            assert p_g.coefficients[n - p] == sign * principal_minor_sum(g, p).re
+    for family in (genutil.random_hermitian, genutil.random_coprime_hermitian):
+        for _ in range(25):
+            n = r.randrange(2, 7)
+            g = family(r, n)
+            p_g = char_poly(g)
+            for p in range(1, n + 1):
+                sign = rational((-1) ** p)
+                assert p_g.coefficients[n - p] == sign * principal_minor_sum(g, p).re
 
 
 def test_selector_scaling_law():

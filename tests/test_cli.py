@@ -5,7 +5,11 @@ stdout, so exit codes and report contents are pinned without spawning
 subprocesses.
 """
 
+import errno
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -349,3 +353,23 @@ class TestErrorsAndEnvironment:
         code, _ = run(capsys, "construct", "paley", "--q", "3")
         assert code == 0
         assert get_eps() == 0.5
+
+    def test_closed_pipe_exits_quietly(self, paley_hat_path, monkeypatch):
+        """A reader that closes the pipe early (as `| head -1` does) makes
+        the report write fail: main raises nothing, keeps its exit code and
+        points stdout at devnull so the flush at exit stays quiet."""
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        cases = (
+            (["check", "--input", paley_hat_path, "--k", "5"], 0),
+            (["check", "--input", paley_hat_path, "--all-k"], 1),
+            (["check", "--input", "/no/such/file.json", "--k", "2"], 2),
+        )
+        for argv, expected in cases:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == expected
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()

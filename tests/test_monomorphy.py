@@ -6,8 +6,10 @@ import pytest
 
 import genutil
 from spectramono.charpoly import RealPolynomial, char_poly, determinant, poly_x_squared_minus
+from spectramono.combinat import colex_subsets
 from spectramono.constructions import hat, paley_tournament
 from spectramono.core import (
+    HermitianStructure,
     c_representation,
     constant_structure,
     i_representation,
@@ -16,12 +18,13 @@ from spectramono.core import (
 )
 from spectramono.errors import InputError
 from spectramono.monomorphy import (
+    _compare_polys,
     det_constancy,
     is_k_spectrally_monomorphic,
     monomorphy_profile,
     pouzet_transfer_check,
 )
-from spectramono.scalars import EXACT, GaussianScalar, rational
+from spectramono.scalars import APPROX, EXACT, GaussianScalar, rational
 
 UNIT_C = GaussianScalar.exact("3/5", "4/5")
 
@@ -122,6 +125,63 @@ def test_every_i_representation_is_three_monomorphic():
         report = is_k_spectrally_monomorphic(i_representation(t), 3)
         assert report.monomorphic
         assert report.common_poly == expected
+
+
+def _substructure_enumeration(g, k):
+    """(polys, witness, subsets_checked, fragile) of the colex enumeration
+    written out with char_poly on every substructure."""
+    polys = []
+    subsets = []
+    fragile_any = False
+    for subset in colex_subsets(g.n, k):
+        poly = char_poly(substructure(g, subset))
+        subsets.append(subset)
+        polys.append(poly)
+        if len(polys) == 1:
+            continue
+        equal, fragile = _compare_polys(polys[0], poly, g.mode)
+        fragile_any = fragile_any or fragile
+        if not equal:
+            return (polys[0], poly), (subsets[0], subset), len(subsets), fragile_any
+    return (polys[0],), None, len(subsets), fragile_any
+
+
+def test_enumeration_matches_char_poly_of_substructures():
+    """The enumeration slices one label matrix per structure; it must report
+    what char_poly of each substructure reports, coefficient for
+    coefficient, on integral, rational and approx labels."""
+    r = genutil.rng(25)
+
+    def integral(r, n):
+        return i_representation(genutil.random_tournament(r, n))
+
+    def approx(r, n):
+        labels = genutil.random_hermitian(r, n).labels
+        return HermitianStructure(
+            [[GaussianScalar.approx(float(e.re), float(e.im)) for e in row] for row in labels]
+        )
+
+    families = (
+        integral,
+        genutil.random_hermitian,
+        genutil.random_coprime_hermitian,
+        approx,
+    )
+    seen_modes = set()
+    for family in families:
+        for _ in range(6):
+            n = r.randrange(2, 8)
+            g = family(r, n)
+            seen_modes.add(g.mode)
+            for k in range(1, n + 1):
+                report = is_k_spectrally_monomorphic(g, k)
+                polys, witness, checked, fragile = _substructure_enumeration(g, k)
+                got = (report.common_poly,) if report.monomorphic else report.witness_polys
+                assert [p.coefficients for p in got] == [p.coefficients for p in polys]
+                assert report.witness == witness
+                assert report.subsets_checked == checked
+                assert report.fragile == fragile
+    assert seen_modes == {EXACT, APPROX}
 
 
 def test_downward_transfer():
