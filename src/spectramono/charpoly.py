@@ -1,14 +1,17 @@
 """Characteristic polynomials of Hermitian structures, exactly.
 
 The label matrix of a Hermitian structure has a monic characteristic
-polynomial P(x) = det(xI - M) with real coefficients. It is computed by the
-Faddeev-LeVerrier recurrence. The exact path clears denominators once: with
-D the lcm of every label component denominator, A = D * M is a Gaussian-
-integer matrix, its recurrence divides only exactly, and
-P_M(x) = D^-n * P_A(D * x). Enumerations slice principal submatrices of one
-such matrix instead of building substructures. Determinants come from an
-independent elimination so the identity P(0) = (-1)^n det M is a genuine
-cross-check rather than a tautology.
+polynomial P(x) = det(xI - M) with real coefficients. It is computed by one
+Faddeev-LeVerrier recurrence on a matrix of (re, im) component pairs, the
+same loop in both arithmetic modes. In exact mode the pairs are integers:
+with D the lcm of every label component denominator, A = D * M is a
+Gaussian-integer matrix, its recurrence divides only exactly, and
+P_M(x) = D^-n * P_A(D * x). In approx mode the pairs are floats and each
+coefficient is checked and formed within the tolerance of scalars.
+Enumerations slice principal submatrices of one such matrix instead of
+building substructures. Determinants come from an independent elimination
+so the identity P(0) = (-1)^n det M is a genuine cross-check rather than a
+tautology.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import math
 
 from .combinat import colex_subsets
+from .core import HermitianStructure
 from .errors import InputError, InvariantError, ModeMixError
-from .scalars import APPROX, EXACT, GaussianScalar, get_eps, rational
+from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, negligible, rational
 
 
 class RealPolynomial:
@@ -89,20 +93,12 @@ class RealPolynomial:
         """s^n * P(x / s) for a positive real scale s: the characteristic
         polynomial transform under a selector of modulus squared s."""
         n = self.degree
-        if self.mode == EXACT:
-            s = rational(s)
-            if s <= 0:
-                raise InputError("scale must be positive")
-            return RealPolynomial(
-                [c * s ** (n - j) for j, c in enumerate(self.coefficients)],
-                EXACT,
-            )
-        s = float(s)
-        if not s > 0.0:
+        s = rational(s) if self.mode == EXACT else float(s)
+        if not s > 0:
             raise InputError("scale must be positive")
         return RealPolynomial(
             [c * s ** (n - j) for j, c in enumerate(self.coefficients)],
-            APPROX,
+            self.mode,
         )
 
     def _require_same_mode(self, other):
@@ -119,9 +115,8 @@ class RealPolynomial:
             return self.coefficients == other.coefficients
         if len(self.coefficients) != len(other.coefficients):
             return False
-        eps = get_eps()
         return all(
-            abs(a - b) <= eps * max(1.0, abs(a), abs(b))
+            close(a, b, APPROX)
             for a, b in zip(self.coefficients, other.coefficients)
         )
 
@@ -174,10 +169,11 @@ def poly_x_squared_minus(constant, mode=EXACT):
 
 
 def _label_components(g):
-    """Matrix of (re, im) component pairs, plus a flag for the all-integer case."""
+    """Matrix of (re, im) component pairs, plus a flag for the all-integer
+    case. The pairs are floats in approx mode."""
     pairs = [[(e.re, e.im) for e in row] for row in g.labels]
     if g.mode == APPROX:
-        return [[complex(re, im) for re, im in row] for row in pairs], False
+        return pairs, False
     integral = all(
         re.denominator == 1 and im.denominator == 1
         for row in pairs
@@ -193,7 +189,7 @@ def _label_matrix(g):
 
     Exact mode gives a Gaussian-integer matrix A of (re, im) int pairs and
     the positive int D, the lcm of every component denominator, so that
-    M = A / D; D is 1 for integral labels. Approx mode gives complex entries
+    M = A / D; D is 1 for integral labels. Approx mode gives float pairs
     and D = None.
     """
     m, integral = _label_components(g)
@@ -216,13 +212,6 @@ def _principal_submatrix(m, vertices):
     return [[m[a][b] for b in vertices] for a in vertices]
 
 
-def _matrix_char_poly(m, d):
-    """Characteristic polynomial of a matrix in _label_matrix form."""
-    if d is None:
-        return _approx_char_poly(m)
-    return _exact_char_poly(m, d)
-
-
 def _pair_dot(row, col):
     sre = 0
     sim = 0
@@ -232,15 +221,18 @@ def _pair_dot(row, col):
     return sre, sim
 
 
-def _exact_char_poly(a, d):
-    """P_M for M = A / D, from the integer recurrence on A.
+def _matrix_char_poly(a, d):
+    """Characteristic polynomial of a matrix (A, D) in _label_matrix form.
 
-    A Hermitian Gaussian-integer matrix has an integer characteristic
-    polynomial, so every trace is real and every division by k is exact;
-    both are checked. Descending coefficient j of P_A is then divided by
-    D^j. The last product is only needed for its trace, so only its
-    diagonal is formed.
+    One recurrence for both modes; only the way c_k is checked and formed
+    differs. Exact mode: a Hermitian Gaussian-integer matrix has an integer
+    characteristic polynomial, so every trace is real and every division
+    by k is exact; both are checked, and descending coefficient j of P_A is
+    then divided by D^j. Approx mode: the trace must be real within eps and
+    c_k = -trace / k. The last product is only needed for its trace, so
+    only its diagonal is formed.
     """
+    mode = APPROX if d is None else EXACT
     n = len(a)
     descending = [1]
     mk = a
@@ -251,11 +243,15 @@ def _exact_char_poly(a, d):
         for re, im in diagonal:
             tr_re += re
             tr_im += im
-        if tr_im != 0:
+        # the literal test spares the exact path a call per coefficient
+        if tr_im != 0 and not negligible(tr_im, tr_re, mode):
             raise InvariantError("trace of a Hermitian power must be real")
-        ck, r = divmod(-tr_re, k)
-        if r != 0:
-            raise InvariantError("integer characteristic coefficient did not divide")
+        if mode == EXACT:
+            ck, r = divmod(-tr_re, k)
+            if r != 0:
+                raise InvariantError("integer characteristic coefficient did not divide")
+        else:
+            ck = -tr_re / k
         descending.append(ck)
         if k == n:
             break
@@ -269,45 +265,20 @@ def _exact_char_poly(a, d):
             diagonal = [row[i] for i, row in enumerate(mk)]
         else:
             diagonal = [_pair_dot(row, col) for row, col in zip(a, cols)]
-    if d != 1:
+    if mode == EXACT and d != 1:
         descending = [rational(c) / d**j for j, c in enumerate(descending)]
-    return RealPolynomial(descending[::-1], EXACT)
-
-
-def _approx_char_poly(m):
-    n = len(m)
-    mk = [list(row) for row in m]
-    descending = [1.0]
-    eps = get_eps()
-    for k in range(1, n + 1):
-        tr = sum(mk[i][i] for i in range(n))
-        if abs(tr.imag) > eps * max(1.0, abs(tr.real)):
-            raise InvariantError("trace of a Hermitian power must be real")
-        ck = -tr.real / k
-        descending.append(ck)
-        if k < n:
-            for i in range(n):
-                mk[i][i] += ck
-            mk = [
-                [
-                    sum(m[i][t] * mk[t][j] for t in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-    return RealPolynomial(list(reversed(descending)), APPROX)
+    return RealPolynomial(descending[::-1], mode)
 
 
 def char_poly(g):
     """Monic characteristic polynomial of the label matrix of g.
 
     Faddeev-LeVerrier: M_1 = M, c_k = -trace(M_k)/k,
-    M_{k+1} = M (M_k + c_k I). Exact mode runs it on the Gaussian-integer
-    matrix D * M, where every division is provably exact, and rescales;
-    approx mode runs on floats.
+    M_{k+1} = M (M_k + c_k I), one recurrence on (re, im) pairs for both
+    modes. Exact mode runs it on the Gaussian-integer matrix D * M, where
+    every division is provably exact, and rescales; approx mode runs it on
+    the float components of M.
     """
-    from .core import HermitianStructure
-
     if not isinstance(g, HermitianStructure):
         raise InputError("char_poly takes a HermitianStructure")
     return _matrix_char_poly(*_label_matrix(g))
@@ -350,7 +321,9 @@ def _det_exact(pairs, n):
 
 
 def _det_approx(m, n):
-    a = [row[:] for row in m]
+    """Determinant of a matrix of (re, im) float pairs by Gaussian
+    elimination with partial pivoting, in complex arithmetic."""
+    a = [[complex(re, im) for re, im in row] for row in m]
     sign = 1
     det = complex(1.0, 0.0)
     for col in range(n):
@@ -385,30 +358,19 @@ def determinant(g):
     Computed by elimination and then cross-checked against the independent
     Faddeev-LeVerrier route through P(0) = (-1)^n det M.
     """
-    from .core import HermitianStructure
-
     if not isinstance(g, HermitianStructure):
         raise InputError("determinant takes a HermitianStructure")
     re, im = _determinant_components(g)
     n = g.n
     p0 = char_poly(g).coefficients[0]
     expected = p0 if n % 2 == 0 else -p0
-    if g.mode == EXACT:
-        if im != 0:
-            raise InvariantError("determinant of a Hermitian matrix must be real")
-        if re != expected:
-            raise InvariantError(
-                f"determinant routes disagree: elimination {re}, recurrence {expected}"
-            )
-        return GaussianScalar.exact(re, 0)
-    eps = get_eps()
-    if abs(im) > eps * max(1.0, abs(re)):
+    if not negligible(im, re, g.mode):
         raise InvariantError("determinant of a Hermitian matrix must be real")
-    if abs(re - expected) > eps * max(1.0, abs(re), abs(expected)):
+    if not close(re, expected, g.mode):
         raise InvariantError(
             f"determinant routes disagree: elimination {re}, recurrence {expected}"
         )
-    return GaussianScalar.approx(re, 0.0)
+    return GaussianScalar(re, 0, g.mode)
 
 
 def _subset_determinant(m, subset, mode):
@@ -430,17 +392,13 @@ def principal_minor_sum(g, p):
     deliberately does not consult char_poly, so the two routes stay
     independent checks of each other.
     """
-    from .core import HermitianStructure
-
     if not isinstance(g, HermitianStructure):
         raise InputError("principal_minor_sum takes a HermitianStructure")
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
     m, _ = _label_components(g)
     total = sum(_subset_determinant(m, s, g.mode) for s in colex_subsets(g.n, p))
-    if g.mode == APPROX:
-        return GaussianScalar.approx(total, 0.0)
-    return GaussianScalar.exact(total, 0)
+    return GaussianScalar(total, 0, g.mode)
 
 
 def scaled_poly(poly, s):

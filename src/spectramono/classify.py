@@ -41,7 +41,7 @@ from .errors import (
     TheoremRangeError,
 )
 from .monomorphy import is_k_spectrally_monomorphic
-from .scalars import EXACT, GaussianScalar, get_eps, rational
+from .scalars import EXACT, GaussianScalar, get_eps, negligible, rational
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,9 @@ def reduce_to_canonical_labels(g):
     they are all integral. Exact mode never divides by the common modulus
     squared msq: each phase product is compared against gamma * msq, and the
     selector d is re-applied as msq^2 * d to the labels msq * gamma and
-    checked against msq^5 * g. Approx mode divides by msq up front. Scalars
-    and structures are built only for the returned CanonicalReduction.
+    checked against msq^5 * g. Approx mode works on the float components
+    and divides by msq up front. Scalars and structures are built only for
+    the returned CanonicalReduction.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("reduce_to_canonical_labels takes a HermitianStructure")
@@ -150,10 +151,7 @@ def reduce_to_canonical_labels(g):
     if n < 5:
         raise InputError(f"canonical reduction needs n >= 5, got {n}")
     mode = g.mode
-    if mode == EXACT:
-        m, _ = _label_components(g)
-    else:
-        m = [[(e.re, e.im) for e in row] for row in g.labels]
+    m, _ = _label_components(g)
     try:
         msq = common_modulus_squared_of_pairs(m, mode)
     except NotTwoMonomorphicError as exc:
@@ -281,37 +279,23 @@ class Classification:
     witness_selector: Optional[Selector] = None
 
 
-def _negative(g, k, reason, pair=None):
+def _negative(g, k, reason, pair=None, degenerate=False):
     """Build a NotMonomorphic verdict, attaching the enumeration witness.
 
-    require_witness is implicit: when the theorem says g cannot be
-    k-monomorphic, enumeration must agree; a silent pass there means the
-    classifier and the brute-force check contradict each other.
+    When the theorem says g cannot be k-monomorphic, enumeration must
+    agree; a silent pass there means the classifier and the brute-force
+    check contradict each other. A degenerate input lies outside the
+    theorems' hypotheses (zero or unequal-modulus labels), and enumeration
+    may or may not find a witness there: the all-zero structure is
+    spectrally constant at every k, yet still lands outside every
+    characterized class.
     """
     report = is_k_spectrally_monomorphic(g, k)
-    if report.monomorphic:
+    if report.monomorphic and not degenerate:
         raise InvariantError(
             f"classifier ruled out k={k} monomorphy but enumeration found "
             f"all {report.subsets_checked} subsets in agreement"
         )
-    return Classification(
-        k=k,
-        monomorphic=False,
-        variant=NotMonomorphic(
-            reason=reason,
-            pair=pair,
-            witness=report.witness,
-            witness_polys=report.witness_polys,
-        ),
-    )
-
-
-def _degenerate_negative(g, k, reason, pair=None):
-    """Negative verdict for inputs outside the theorems' hypotheses (zero or
-    unequal-modulus labels). Enumeration may or may not find a witness here:
-    the all-zero structure is spectrally constant at every k, yet still
-    lands outside every characterized class."""
-    report = is_k_spectrally_monomorphic(g, k)
     return Classification(
         k=k,
         monomorphic=False,
@@ -335,12 +319,23 @@ def _positive(k, reduction, variant):
 
 
 def _is_imaginary(gamma, mode):
-    if mode == EXACT:
-        return gamma.re == 0
-    return abs(gamma.re) <= get_eps() * max(1.0, abs(gamma.im))
+    return negligible(gamma.re, gamma.im, mode)
 
 
-def _real_or_transitive(g, k, reduction):
+def _classify(g, k, refine):
+    """The verdict flow every theorem shares: reduce to canonical labels,
+    settle the real-constant and transitive shapes, and hand a
+    non-transitive reduction to the theorem's refine(g, k, reduction)."""
+    try:
+        reduction = reduce_to_canonical_labels(g)
+    except ReductionError as exc:
+        return _negative(
+            g,
+            k,
+            exc.detail,
+            pair=exc.pair,
+            degenerate=exc.reason == "not_two_monomorphic",
+        )
     if reduction.real:
         return _positive(k, reduction, RealConstant(value=reduction.gamma))
     if is_transitive(reduction.tournament):
@@ -352,7 +347,46 @@ def _real_or_transitive(g, k, reduction):
                 order=descending_score_order(reduction.tournament),
             ),
         )
-    return None
+    return refine(g, k, reduction)
+
+
+_NEITHER = "label is neither real nor purely imaginary on a non-transitive tournament"
+
+
+def _dominated_i_rep(g, k, reduction):
+    """k = 3: any purely imaginary gamma is an i-representation, whatever
+    the orientation."""
+    if not _is_imaginary(reduction.gamma, g.mode):
+        return _negative(g, k, _NEITHER)
+    return _positive(
+        k,
+        reduction,
+        IRepDominatedNonTransitive(
+            tournament=reduction.tournament, label=reduction.gamma
+        ),
+    )
+
+
+def _rigid(g, k, reduction):
+    """k = 4 and mid-range k: no non-transitive shape remains."""
+    return _negative(
+        g, k, f"non-transitive tournament cannot be {k}-spectrally monomorphic here"
+    )
+
+
+def _drt_hat(g, k, reduction):
+    """k = n - 3: a purely imaginary gamma on hat(T) with T doubly regular."""
+    if not _is_imaginary(reduction.gamma, g.mode):
+        return _negative(g, k, _NEITHER)
+    base = reduction.tournament.subtournament(range(1, g.n))
+    certificate = is_doubly_regular(base)
+    if certificate is None:
+        return _negative(
+            g, k, "the tournament under the dominating vertex is not doubly regular"
+        )
+    return _positive(
+        k, reduction, IRepDRTHat(tournament=base, certificate=certificate)
+    )
 
 
 def classify_k3(g):
@@ -370,28 +404,7 @@ def classify_k3(g):
         raise TheoremRangeError(
             f"the k=3 characterization applies for n >= 5, got n={g.n}"
         )
-    try:
-        reduction = reduce_to_canonical_labels(g)
-    except ReductionError as exc:
-        if exc.reason == "not_two_monomorphic":
-            return _degenerate_negative(g, 3, exc.detail, pair=exc.pair)
-        return _negative(g, 3, exc.detail, pair=exc.pair)
-    settled = _real_or_transitive(g, 3, reduction)
-    if settled is not None:
-        return settled
-    if _is_imaginary(reduction.gamma, g.mode):
-        return _positive(
-            3,
-            reduction,
-            IRepDominatedNonTransitive(
-                tournament=reduction.tournament, label=reduction.gamma
-            ),
-        )
-    return _negative(
-        g,
-        3,
-        "label is neither real nor purely imaginary on a non-transitive tournament",
-    )
+    return _classify(g, 3, _dominated_i_rep)
 
 
 def classify_k4(g):
@@ -405,7 +418,7 @@ def classify_k4(g):
         raise TheoremRangeError(
             f"the k=4 characterization applies for n >= 7, got n={g.n}"
         )
-    return _classify_rigid(g, 4)
+    return _classify(g, 4, _rigid)
 
 
 def classify_mid_k(g, k):
@@ -420,22 +433,7 @@ def classify_mid_k(g, k):
             f"the mid-range characterization applies for 4 <= k <= n - 4 "
             f"with n >= 8, got k={k}, n={g.n}"
         )
-    return _classify_rigid(g, k)
-
-
-def _classify_rigid(g, k):
-    try:
-        reduction = reduce_to_canonical_labels(g)
-    except ReductionError as exc:
-        if exc.reason == "not_two_monomorphic":
-            return _degenerate_negative(g, k, exc.detail, pair=exc.pair)
-        return _negative(g, k, exc.detail, pair=exc.pair)
-    settled = _real_or_transitive(g, k, reduction)
-    if settled is not None:
-        return settled
-    return _negative(
-        g, k, f"non-transitive tournament cannot be {k}-spectrally monomorphic here"
-    )
+    return _classify(g, k, _rigid)
 
 
 def classify_n_minus_3(g):
@@ -455,33 +453,9 @@ def classify_n_minus_3(g):
         raise TheoremRangeError(
             f"the k = n - 3 characterization applies for n >= 6, got n={n}"
         )
-    k = n - 3
     if n == 6:
         return classify_k3(g)
-    try:
-        reduction = reduce_to_canonical_labels(g)
-    except ReductionError as exc:
-        if exc.reason == "not_two_monomorphic":
-            return _degenerate_negative(g, k, exc.detail, pair=exc.pair)
-        return _negative(g, k, exc.detail, pair=exc.pair)
-    settled = _real_or_transitive(g, k, reduction)
-    if settled is not None:
-        return settled
-    if not _is_imaginary(reduction.gamma, g.mode):
-        return _negative(
-            g,
-            k,
-            "label is neither real nor purely imaginary on a non-transitive tournament",
-        )
-    base = reduction.tournament.subtournament(range(1, n))
-    certificate = is_doubly_regular(base)
-    if certificate is None:
-        return _negative(
-            g, k, "the tournament under the dominating vertex is not doubly regular"
-        )
-    return _positive(
-        k, reduction, IRepDRTHat(tournament=base, certificate=certificate)
-    )
+    return _classify(g, n - 3, _drt_hat)
 
 
 def c3_via_determinants(g, x1, x, y):

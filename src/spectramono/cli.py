@@ -45,7 +45,7 @@ from .core import Tournament, c_representation, i_representation
 from .documents import document_dict, parse_document
 from .errors import InputError, InvariantError, SpectramonoError, TheoremRangeError
 from .monomorphy import is_k_spectrally_monomorphic, monomorphy_profile
-from .scalars import EXACT, GaussianScalar, rational, set_eps
+from .scalars import EXACT, GaussianScalar, negligible, rational, set_eps
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -230,7 +230,7 @@ def _cmd_classify(args):
     return report, EXIT_TRUE if result.monomorphic else EXIT_FALSE
 
 
-def _parse_rep_label(text, n_hint):
+def _parse_rep_label(text):
     if text == "i":
         return GaussianScalar.i_unit(EXACT)
     if "," not in text:
@@ -258,7 +258,7 @@ def _cmd_construct(args):
         t = hat(t)
     if args.rep is None:
         return document_dict(t), EXIT_TRUE
-    label = _parse_rep_label(args.rep, t.n)
+    label = _parse_rep_label(args.rep)
     if label.mode == EXACT and label == GaussianScalar.i_unit(EXACT):
         g = i_representation(t)
     else:
@@ -318,21 +318,14 @@ def _cmd_convert(args):
 def _imaginary_tournament(g):
     """Orientation carried by a purely imaginary structure: x -> y when
     im(g(x,y)) > 0. Rejects labels that are not purely imaginary nonzero."""
-    from .scalars import get_eps
-
     n = g.n
-    eps = get_eps()
     rows = [0] * n
     for x in range(n):
         for y in range(n):
             if x == y:
                 continue
             lab = g.label(x, y)
-            if g.mode == EXACT:
-                bad = lab.re != 0 or lab.im == 0
-            else:
-                bad = abs(lab.re) > eps * max(1.0, abs(lab.im)) or abs(lab.im) <= eps
-            if bad:
+            if not negligible(lab.re, lab.im, g.mode) or lab.is_real():
                 raise InputError(
                     f"label at ({x},{y}) is {lab.to_text()}, not purely "
                     "imaginary nonzero; this command needs an i-weighted input"
@@ -402,12 +395,6 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--all-k", action="store_true", dest="all_k")
-    p.add_argument(
-        "--force-brute",
-        action="store_true",
-        dest="force_brute",
-        help="accepted for symmetry with classify; check always enumerates",
-    )
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("classify", help="characterization-theorem verdict")

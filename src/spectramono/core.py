@@ -27,6 +27,7 @@ from .scalars import (
     EXACT,
     GaussianScalar,
     get_eps,
+    negligible,
     rational,
     rational_sqrt,
     two_square_root,
@@ -157,7 +158,7 @@ def common_modulus_squared_of_pairs(pairs, mode):
             if exact:
                 same = other == msq
             else:
-                same = abs(other - msq) <= eps * max(1.0, abs(msq))
+                same = negligible(other - msq, msq, mode)
             if not same:
                 raise NotTwoMonomorphicError(
                     f"labels at (0,1) and ({x},{y}) have different moduli"
@@ -370,23 +371,15 @@ class Selector:
                 raise ModeMixError("selector values mix modes")
             if v.is_zero():
                 raise InvariantError("selector values must be nonzero")
-        if mode == EXACT:
-            scale_sq = rational(scale_sq)
-            if scale_sq <= 0:
-                raise InvariantError("scale_sq must be positive")
-            msq = values[0].modulus_squared()
-            for v in values[1:]:
-                if v.modulus_squared() != msq:
-                    raise InvariantError("selector values must share one modulus")
-        else:
-            scale_sq = float(scale_sq)
-            if not scale_sq > 0.0:
-                raise InvariantError("scale_sq must be positive")
-            msq = values[0].modulus_squared()
-            eps = get_eps()
-            for v in values[1:]:
-                if abs(v.modulus_squared() - msq) > eps * max(1.0, abs(msq)):
-                    raise InvariantError("selector values must share one modulus")
+        scale_sq = rational(scale_sq) if mode == EXACT else float(scale_sq)
+        if not scale_sq > 0:
+            raise InvariantError("scale_sq must be positive")
+        msq = values[0].modulus_squared()
+        for v in values[1:]:
+            other = v.modulus_squared()
+            # the literal test spares equal exact moduli a rational subtraction
+            if other != msq and not negligible(other - msq, msq, mode):
+                raise InvariantError("selector values must share one modulus")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "scale_sq", scale_sq)
         object.__setattr__(self, "mode", mode)
@@ -618,10 +611,7 @@ class EquivalenceReport:
 
 
 def _real_positive(z, mode):
-    if mode == EXACT:
-        return z.im == 0 and z.re > 0
-    eps = get_eps()
-    return abs(z.im) <= eps * max(1.0, abs(z.re)) and z.re > 0.0
+    return negligible(z.im, z.re, mode) and z.re > 0
 
 
 def are_equivalent(g, h):

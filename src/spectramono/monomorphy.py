@@ -23,7 +23,7 @@ from .charpoly import (
 from .combinat import colex_subsets
 from .core import HermitianStructure, substructure  # noqa: F401 - as char_poly
 from .errors import InputError
-from .scalars import EXACT, GaussianScalar, get_eps, rational
+from .scalars import EXACT, GaussianScalar, close, get_eps, rational
 
 
 def _compare_polys(a, b, mode):
@@ -132,7 +132,6 @@ def det_constancy(g, p):
         raise InputError("det_constancy takes a HermitianStructure")
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
-    eps = get_eps()
     m, _ = _label_components(g)
     reference_subset = None
     reference = None
@@ -144,26 +143,21 @@ def det_constancy(g, p):
             reference_subset = subset
             reference = value
             continue
-        if g.mode == EXACT:
-            same = value == reference
-        else:
-            same = abs(value - reference) <= eps * max(1.0, abs(value), abs(reference))
-        if not same:
-            wrap = (
-                GaussianScalar.exact if g.mode == EXACT else GaussianScalar.approx
-            )
+        if not close(value, reference, g.mode):
             return DetConstancyReport(
                 p=p,
                 constant=False,
                 witness=(reference_subset, subset),
-                witness_values=(wrap(reference, 0), wrap(value, 0)),
+                witness_values=(
+                    GaussianScalar(reference, 0, g.mode),
+                    GaussianScalar(value, 0, g.mode),
+                ),
                 subsets_checked=checked,
             )
-    wrap = GaussianScalar.exact if g.mode == EXACT else GaussianScalar.approx
     return DetConstancyReport(
         p=p,
         constant=True,
-        value=wrap(reference, 0),
+        value=GaussianScalar(reference, 0, g.mode),
         subsets_checked=checked,
     )
 

@@ -5,6 +5,11 @@ Exact values keep their real and imaginary parts as reduced rationals
 Approximate values are pairs of floats compared against a global absolute
 tolerance, see get_eps / set_eps. A value never changes mode, and mixing
 modes inside one arithmetic operation raises ModeMixError.
+
+close and negligible are the tolerance rule for real values computed from
+labels (polynomial coefficients, traces, determinants, moduli): literal
+equality in exact mode, eps relative to the magnitudes involved (never less
+than eps itself) in approx mode.
 """
 
 from __future__ import annotations
@@ -51,6 +56,21 @@ def set_eps(value):
     previous = _eps
     _eps = value
     return previous
+
+
+def close(a, b, mode):
+    """a == b in exact mode; |a - b| <= eps * max(1, |a|, |b|) in approx mode."""
+    if mode == EXACT:
+        return a == b
+    return abs(a - b) <= _eps * max(1.0, abs(a), abs(b))
+
+
+def negligible(x, ref, mode):
+    """x == 0 in exact mode; |x| <= eps * max(1, |ref|) in approx mode, so
+    x is small next to the value ref it accompanies."""
+    if mode == EXACT:
+        return x == 0
+    return abs(x) <= _eps * max(1.0, abs(ref))
 
 
 def rational(value):

@@ -108,3 +108,18 @@ def random_tournament(r, n):
             else:
                 rows[j] |= 1 << i
     return Tournament(n, rows)
+
+
+def approx_copy(g):
+    """The approx-mode structure whose labels are g's components as floats."""
+    return HermitianStructure(
+        [
+            [GaussianScalar.approx(float(e.re), float(e.im)) for e in row]
+            for row in g.labels
+        ]
+    )
+
+
+def permuted(g, perm):
+    """g relabelled so that new vertex x is old vertex perm[x]."""
+    return HermitianStructure([[g.labels[a][b] for b in perm] for a in perm])

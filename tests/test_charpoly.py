@@ -23,7 +23,7 @@ from spectramono.core import (
     transitive_tournament,
 )
 from spectramono.errors import InputError, ModeMixError
-from spectramono.scalars import APPROX, EXACT, GaussianScalar, rational
+from spectramono.scalars import APPROX, EXACT, GaussianScalar, close, rational
 
 THREE_CYCLE = Tournament.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -194,7 +194,9 @@ def test_coefficient_identity():
     """x^(n-p) coefficient of the characteristic polynomial equals
     (-1)^p times the sum of the p x p principal minors. The second input
     family has pairwise-coprime label denominators, so the integer
-    recurrence runs on D * M with a large D before rescaling."""
+    recurrence runs on D * M with a large D before rescaling. The third
+    family is float copies in approx mode, where the minors come from the
+    separate complex elimination and the two sides agree within eps."""
     r = genutil.rng(16)
     for family in (genutil.random_hermitian, genutil.random_coprime_hermitian):
         for _ in range(25):
@@ -204,6 +206,15 @@ def test_coefficient_identity():
             for p in range(1, n + 1):
                 sign = rational((-1) ** p)
                 assert p_g.coefficients[n - p] == sign * principal_minor_sum(g, p).re
+    for family in (genutil.random_hermitian, genutil.random_coprime_hermitian):
+        for _ in range(25):
+            n = r.randrange(2, 7)
+            g = genutil.approx_copy(family(r, n))
+            p_g = char_poly(g)
+            assert p_g.mode == APPROX
+            for p in range(1, n + 1):
+                minors = (-1) ** p * principal_minor_sum(g, p).re
+                assert close(p_g.coefficients[n - p], minors, APPROX)
 
 
 def test_selector_scaling_law():

@@ -1,6 +1,10 @@
 """Tests for canonical reduction, the per-range classifiers, c3 counting."""
 
+import random
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import genutil
 from spectramono.charpoly import char_poly
@@ -422,3 +426,72 @@ class TestC3ViaDeterminants:
         g = i_representation(hat(paley_tournament(7)))
         with pytest.raises(InputError):
             c3_via_determinants(g, 0, 1, 1)
+
+
+class TestApproxClassifyK3:
+    def test_float_copies_keep_the_variant(self):
+        """classify_k3 on the float copy of an exact input gives the exact
+        input's variant class, tournament and order: i-representations,
+        transitive and non-transitive c-representations with label
+        3/5+4/5i, each also twisted by a unit selector and relabelled."""
+        r = genutil.rng(40)
+        seen = set()
+        for _ in range(40):
+            n = r.randrange(5, 8)
+            shape = r.randrange(3)
+            if shape == 0:
+                g = i_representation(genutil.random_tournament(r, n))
+            elif shape == 1:
+                g = c_representation(transitive_tournament(n), UNIT_C)
+            else:
+                g = c_representation(genutil.random_tournament(r, n), UNIT_C)
+            if r.random() < 0.7:
+                perm = list(range(n))
+                r.shuffle(perm)
+                twist = genutil.random_unit_selector(r, n)
+                g = apply_selector(genutil.permuted(g, perm), twist)
+            exact = classify_k3(g)
+            approx = classify_k3(genutil.approx_copy(g))
+            assert type(approx.variant) is type(exact.variant)
+            assert approx.monomorphic == exact.monomorphic
+            for field in ("tournament", "order", "witness"):
+                assert getattr(approx.variant, field, None) == getattr(
+                    exact.variant, field, None
+                )
+            seen.add(type(exact.variant))
+        assert seen == {CRepTransitive, IRepDominatedNonTransitive, NotMonomorphic}
+
+
+SHAPES = ("random", "transitive", "hat", "hat_paley7")
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=5, max_value=8),
+    shape=st.sampled_from(SHAPES),
+    i_rep=st.booleans(),
+    salt=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_verdicts_invariant_under_relabelling_and_twist(n, shape, i_rep, salt, data):
+    """A vertex permutation followed by a unit selector twist changes
+    neither monomorphy nor the variant class of classify_k3 and
+    classify_n_minus_3."""
+    r = random.Random(salt)
+    if shape == "random":
+        t = genutil.random_tournament(r, n)
+    elif shape == "transitive":
+        t = transitive_tournament(n)
+    elif shape == "hat":
+        t = hat(genutil.random_tournament(r, n - 1))
+    else:
+        t = hat(paley_tournament(7))
+    g = i_representation(t) if i_rep else c_representation(t, UNIT_C)
+    perm = data.draw(st.permutations(range(t.n)))
+    h = apply_selector(genutil.permuted(g, perm), genutil.random_unit_selector(r, t.n))
+    classifiers = [classify_k3] + ([classify_n_minus_3] if t.n >= 6 else [])
+    for classify_ in classifiers:
+        before, after = classify_(g), classify_(h)
+        assert after.monomorphic == before.monomorphic
+        assert type(after.variant) is type(before.variant)

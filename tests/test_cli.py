@@ -117,6 +117,13 @@ class TestCheck:
         assert "--k" in report["error"]["message"]
 
 
+    def test_force_brute_is_not_a_check_option(self, paley_hat_path):
+        """check always enumerates, so it has no --force-brute to accept."""
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", paley_hat_path, "--k", "3", "--force-brute"])
+        assert exc.value.code == 2
+
+
 class TestClassify:
     def test_drt_hat_variant(self, paley_hat_path, capsys):
         code, report = run(
@@ -373,3 +380,104 @@ class TestErrorsAndEnvironment:
             assert main(argv) == expected
             assert sys.stdout.name == os.devnull
             sys.stdout.close()
+
+
+# A selector-twisted, relabelled c-representation of the transitive
+# 5-tournament with label 3/5+4/5i, written as floats.
+APPROX_ROWS = [
+    ["0.0,0.0", "0.9692307692307692,0.24615384615384617", "0.8,-0.6",
+     "-1.0,0.0", "-0.4235294117647059,-0.9058823529411765"],
+    ["0.9692307692307692,-0.24615384615384617", "0.0,0.0",
+     "-0.24615384615384617,-0.9692307692307692",
+     "-0.7784615384615384,-0.6276923076923077",
+     "0.23891402714932128,-0.9710407239819004"],
+    ["0.8,0.6", "-0.24615384615384617,0.9692307692307692", "0.0,0.0",
+     "0.0,-1.0", "0.9058823529411765,-0.4235294117647059"],
+    ["-1.0,0.0", "-0.7784615384615384,0.6276923076923077", "0.0,1.0",
+     "0.0,0.0", "-0.47058823529411764,0.8823529411764706"],
+    ["-0.4235294117647059,0.9058823529411765",
+     "0.23891402714932128,0.9710407239819004",
+     "0.9058823529411765,0.4235294117647059",
+     "-0.47058823529411764,-0.8823529411764706", "0.0,0.0"],
+]
+
+
+def _approx_doc(rows):
+    return {
+        "entries": rows,
+        "format_version": "1",
+        "kind": "hermitian",
+        "mode": "approx",
+        "n": len(rows),
+    }
+
+
+class TestApproxDocument:
+    """Approx-mode reports are pinned byte for byte: float coefficients
+    (a negative zero among them), the fragile flag, the canonical form and
+    the witness selector all come from float arithmetic."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "approx.json"
+        path.write_text(json.dumps(_approx_doc(APPROX_ROWS)))
+        return str(path)
+
+    def _out(self, capsys, *argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def test_check_k3(self, path, capsys):
+        expected = {
+            "command": "check",
+            "mode": "approx",
+            "n": 5,
+            "result": {
+                "common_poly": {
+                    "coefficients": ["-1.2000000000000002", "-3.0", "-0.0", "1.0"],
+                    "display": "1.0x^3-3.0x-1.2000000000000002",
+                },
+                "fragile": True,
+                "k": 3,
+                "monomorphic": True,
+                "subsets_checked": 10,
+                "witness": None,
+                "witness_polys": None,
+            },
+        }
+        code, out = self._out(capsys, "check", "--input", path, "--k", "3")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_classify_k3(self, path, capsys):
+        g, b = "0.6,0.8", "0.6,-0.8"
+        canonical = [
+            ["0.0,0.0", g, g, g, g],
+            [b, "0.0,0.0", b, g, g],
+            [b, g, "0.0,0.0", g, g],
+            [b, b, b, "0.0,0.0", g],
+            [b, b, b, b, "0.0,0.0"],
+        ]
+        expected = {
+            "canonical": _approx_doc(canonical),
+            "command": "classify",
+            "details": {"label": "0.6,0.8", "order": [0, 2, 1, 3, 4]},
+            "k": 3,
+            "mode": "approx",
+            "monomorphic": True,
+            "n": 5,
+            "variant": "c_rep_transitive",
+            "witness_selector": {
+                "scale_sq": 1.0,
+                "values": [
+                    "1.0,0.0",
+                    "0.7784615384615385,0.6276923076923078",
+                    "0.0,1.0",
+                    "-0.6,-0.8",
+                    "-0.9788235294117646,0.20470588235294107",
+                ],
+            },
+        }
+        code, out = self._out(capsys, "classify", "--input", path, "--k", "3")
+        assert code == 0
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,9 @@ from spectramono.scalars import (
     APPROX,
     EXACT,
     GaussianScalar,
+    close,
     get_eps,
+    negligible,
     parse_scalar,
     rational,
     rational_sqrt,
@@ -230,3 +232,50 @@ class TestApproxMode:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
             GaussianScalar.approx(float("inf"), 0.0)
+
+
+class TestTolerance:
+    """close and negligible, the tolerance rule, at its boundary. The
+    approx cases use powers of two so every difference is exact."""
+
+    def test_exact_is_literal(self):
+        tiny = rational("1/1000000000000000000000000")
+        assert close(rational("1/3"), rational("2/6"), EXACT)
+        assert not close(rational(1), 1 + tiny, EXACT)
+        assert negligible(rational(0), rational(5), EXACT)
+        assert not negligible(tiny, rational(0), EXACT)
+
+    def test_default_eps(self):
+        assert get_eps() == 1e-9
+        assert close(0.0, 1e-9, APPROX)
+        assert not close(0.0, 1e-8, APPROX)
+        assert negligible(1e-9, 0.0, APPROX)
+        assert not negligible(1e-8, 0.0, APPROX)
+
+    def test_boundary_after_set_eps(self):
+        old = set_eps(2.0**-30)
+        try:
+            # floor: never tighter than eps itself
+            assert close(0.0, 2.0**-30, APPROX)
+            assert not close(0.0, 2.0**-29, APPROX)
+            assert negligible(2.0**-30, 0.5, APPROX)
+            assert not negligible(2.0**-29, 0.5, APPROX)
+            # relative to the larger magnitude, on either side
+            assert close(1024.0, 1024.0 + 2.0**-20, APPROX)
+            assert not close(1024.0, 1024.0 + 2.0**-19, APPROX)
+            assert close(2048.0, 2048.0 - 2.0**-19, APPROX)
+            assert close(2048.0 - 2.0**-19, 2048.0, APPROX)
+            # negligible scales with |ref|, not with x
+            assert negligible(2.0**-20, -1024.0, APPROX)
+            assert not negligible(-(2.0**-19), 1024.0, APPROX)
+        finally:
+            set_eps(old)
+        assert not close(0.0, 2.0**-29, APPROX)
+
+    def test_set_eps_widens(self):
+        old = set_eps(1e-6)
+        try:
+            assert close(0.0, 1e-8, APPROX)
+            assert negligible(1e-8, 0.0, APPROX)
+        finally:
+            set_eps(old)
