@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .combinat import colex_subsets
-from .core import HermitianStructure
+from .core import HermitianStructure, clear_denominators
 from .errors import InputError, InvariantError, ModeMixError
 from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, negligible, rational
 
@@ -197,15 +197,7 @@ def _label_matrix(g):
         return m, None
     if integral:
         return m, 1
-    d = math.lcm(*(c.denominator for row in m for pair in row for c in pair))
-    a = [
-        [
-            (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
-            for re, im in row
-        ]
-        for row in m
-    ]
-    return a, d
+    return clear_denominators(m)
 
 
 def _principal_submatrix(m, vertices):
@@ -228,9 +220,10 @@ def _matrix_char_poly(a, d):
     differs. Exact mode: a Hermitian Gaussian-integer matrix has an integer
     characteristic polynomial, so every trace is real and every division
     by k is exact; both are checked, and descending coefficient j of P_A is
-    then divided by D^j. Approx mode: the trace must be real within eps and
-    c_k = -trace / k. The last product is only needed for its trace, so
-    only its diagonal is formed.
+    then divided by D^j. Approx mode: a trace that overflowed floats is an
+    InputError, the trace must be real within eps and c_k = -trace / k. The
+    last product is only needed for its trace, so only its diagonal is
+    formed.
     """
     mode = APPROX if d is None else EXACT
     n = len(a)
@@ -243,6 +236,10 @@ def _matrix_char_poly(a, d):
         for re, im in diagonal:
             tr_re += re
             tr_im += im
+        if mode == APPROX and not (math.isfinite(tr_re) and math.isfinite(tr_im)):
+            raise InputError(
+                "approx labels too large: powers of the label matrix overflow floats"
+            )
         # the literal test spares the exact path a call per coefficient
         if tr_im != 0 and not negligible(tr_im, tr_re, mode):
             raise InvariantError("trace of a Hermitian power must be real")

@@ -28,6 +28,7 @@ from .core import (
     constant_structure,
     descending_score_order,
     is_transitive,
+    pair_product,
     substructure,
     transitive_tournament,
 )
@@ -74,16 +75,6 @@ def _matches(a, b, mode):
     return abs(a[0] - b[0]) <= eps * scale and abs(a[1] - b[1]) <= eps * scale
 
 
-def _product(a, b, c):
-    """Components of a * b * conj(c) for (re, im) pairs a, b, c."""
-    ar, ai = a
-    br, bi = b
-    cr, ci = c
-    re = ar * br - ai * bi
-    im = ar * bi + ai * br
-    return re * cr + im * ci, im * cr - re * ci
-
-
 def _scalar(pair, q, mode):
     """The GaussianScalar pair / q for a positive real q."""
     if mode == EXACT:
@@ -115,7 +106,7 @@ def _check_reapplied(m, d, rows, gamma, gamma_bar, mode, target_scale):
             if x == y:
                 continue
             c = gamma if rows[x] >> y & 1 else gamma_bar
-            got_re, got_im = _product(d[x], c, d[y])
+            got_re, got_im = pair_product(d[x], c, d[y])
             re, im = m[x][y]
             re, im = re * target_scale, im * target_scale
             if mode == EXACT:
@@ -166,7 +157,7 @@ def reduce_to_canonical_labels(g):
     phases = {}
     for u in range(1, n):
         for v in range(u + 1, n):
-            re, im = _product(m[0][u], m[u][v], m[0][v])
+            re, im = pair_product(m[0][u], m[u][v], m[0][v])
             phases[u, v] = (re * s, im * s) if mode != EXACT else (re, im)
     gamma = phases[1, 2]
     gamma_bar = (gamma[0], -gamma[1])

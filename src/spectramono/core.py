@@ -28,6 +28,7 @@ from .scalars import (
     GaussianScalar,
     get_eps,
     negligible,
+    ratio,
     rational,
     rational_sqrt,
     two_square_root,
@@ -164,6 +165,33 @@ def common_modulus_squared_of_pairs(pairs, mode):
                     f"labels at (0,1) and ({x},{y}) have different moduli"
                 )
     return msq
+
+
+def clear_denominators(pairs):
+    """(A, D) for a matrix of exact (re, im) component pairs: D is the lcm of
+    every component denominator and A the matrix of Gaussian-integer pairs
+    with pairs = A / D. D is 1 when every component is integral."""
+    d = math.lcm(*(c.denominator for row in pairs for pair in row for c in pair))
+    a = [
+        [
+            (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+            for re, im in row
+        ]
+        for row in pairs
+    ]
+    return a, d
+
+
+def pair_product(a, b, c):
+    """Components of a * b * conj(c) for (re, im) pairs a, b, c, formed in
+    the order of GaussianScalar arithmetic, so float pairs give the same
+    floats as (a * b * c.conj()) on scalars."""
+    ar, ai = a
+    br, bi = b
+    cr, ci = c
+    re = ar * br - ai * bi
+    im = ar * bi + ai * br
+    return re * cr + im * ci, im * cr - re * ci
 
 
 def constant_structure(n, value):
@@ -465,25 +493,48 @@ def substructure(g, vertices):
 
 
 def apply_selector(g, d):
-    """g^d with labels d(x) * g(x, y) * conj(d(y))."""
+    """g^d with labels scale_sq * d(x) * g(x, y) * conj(d(y)).
+
+    Exact mode clears denominators once: the labels become Gaussian
+    integers A over D and the selector values Gaussian integers S over R,
+    each entry is the integer product S(x) A(x, y) conj(S(y)), and each of
+    its components becomes one rational, times scale_sq over R^2 D. Approx
+    mode runs the same loop on the float components and multiplies by
+    scale_sq; its operations are those of GaussianScalar arithmetic, in the
+    same order, so the floats agree bit for bit. The result is validated
+    like any new HermitianStructure, which is the check on this arithmetic.
+    """
     if not isinstance(g, HermitianStructure) or not isinstance(d, Selector):
         raise InputError("apply_selector takes a HermitianStructure and a Selector")
     if d.mode != g.mode:
         raise ModeMixError("structure and selector modes differ")
     if d.n != g.n:
         raise InputError(f"selector covers {d.n} vertices, structure has {g.n}")
-    zero = GaussianScalar.zero(g.mode)
+    mode = g.mode
+    exact = mode == EXACT
+    labels = [[(e.re, e.im) for e in row] for row in g.labels]
+    values = [(v.re, v.im) for v in d.values]
+    scale = d.scale_sq
+    if exact:
+        labels, den = clear_denominators(labels)
+        (values,), r = clear_denominators([values])
+        num = scale.numerator
+        den *= r * r * scale.denominator
+    zero = GaussianScalar.zero(mode)
     rows = []
-    for x in range(g.n):
-        row = []
-        for y in range(g.n):
+    for x, row in enumerate(labels):
+        dx = values[x]
+        out = []
+        for y, label in enumerate(row):
             if x == y:
-                row.append(zero)
+                out.append(zero)
+                continue
+            re, im = pair_product(dx, label, values[y])
+            if exact:
+                out.append(GaussianScalar(ratio(re * num, den), ratio(im * num, den), mode))
             else:
-                row.append(
-                    (d.values[x] * g.labels[x][y] * d.values[y].conj()).scale(d.scale_sq)
-                )
-        rows.append(row)
+                out.append(GaussianScalar(re * scale, im * scale, mode))
+        rows.append(out)
     return HermitianStructure(rows)
 
 

@@ -88,9 +88,18 @@ def parse_document(text):
     grid = _entry_grid(data["entries"], n)
 
     if kind == "hermitian":
-        labels = [
-            [parse_scalar(cell, mode) for cell in row] for row in grid
-        ]
+        # each distinct cell is parsed once: parse_scalar is pure and its
+        # scalars are immutable, so equal cells may share one
+        parsed = {}
+        labels = []
+        for row in grid:
+            out = []
+            for cell in row:
+                z = parsed.get(cell)
+                if z is None:
+                    z = parsed[cell] = parse_scalar(cell, mode)
+                out.append(z)
+            labels.append(out)
         return LoadedDocument(kind=kind, mode=mode, value=HermitianStructure(labels))
 
     if mode != EXACT:

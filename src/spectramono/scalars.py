@@ -102,6 +102,11 @@ def rational(value):
     raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 
+# ratio(num, den) is the exact rational num / den of two ints, reduced; it
+# is the backend's own constructor, called without a wrapper on hot paths
+ratio = _rat
+
+
 def rational_sqrt(q):
     """Exact square root of a nonnegative rational, or None when irrational."""
     q = rational(q)

@@ -15,6 +15,7 @@ from spectramono.charpoly import (
 )
 from spectramono.constructions import hat, paley_tournament
 from spectramono.core import (
+    HermitianStructure,
     Tournament,
     apply_selector,
     constant_structure,
@@ -23,6 +24,7 @@ from spectramono.core import (
     transitive_tournament,
 )
 from spectramono.errors import InputError, ModeMixError
+from spectramono.monomorphy import is_k_spectrally_monomorphic
 from spectramono.scalars import APPROX, EXACT, GaussianScalar, close, rational
 
 THREE_CYCLE = Tournament.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -137,6 +139,18 @@ class TestCharPoly:
     def test_rejects_non_structure(self):
         with pytest.raises(InputError):
             char_poly([[0]])
+
+    def test_float_overflow_is_an_input_error(self):
+        """Approx labels whose matrix powers overflow floats are refused as
+        input on every route through the recurrence."""
+        big = GaussianScalar.approx(1e150, 1e150)
+        zero = GaussianScalar.zero(APPROX)
+        g = HermitianStructure(
+            [[zero, big, big], [big.conj(), zero, big], [big.conj(), big.conj(), zero]]
+        )
+        for route in (char_poly, determinant, lambda g: is_k_spectrally_monomorphic(g, 3)):
+            with pytest.raises(InputError, match="overflow"):
+                route(g)
 
 
 class TestDeterminant:

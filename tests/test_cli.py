@@ -1,15 +1,17 @@
 """In-process runs of the command line driver.
 
-Every test calls main(argv) directly and decodes the JSON report from
-stdout, so exit codes and report contents are pinned without spawning
-subprocesses.
+Every test but one calls main(argv) directly and decodes the JSON report
+from stdout, so exit codes and report contents are pinned without spawning
+subprocesses. The one runs `python -m spectramono` from the source tree.
 """
 
 import errno
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +362,33 @@ class TestErrorsAndEnvironment:
         code, _ = run(capsys, "construct", "paley", "--q", "3")
         assert code == 0
         assert get_eps() == 0.5
+
+    def test_float_overflow_is_an_input_error(self, tmp_path, capsys):
+        big, bar, zero = "1e150,1e150", "1e150,-1e150", "0.0,0.0"
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps(_approx_doc([[zero, big, big], [bar, zero, big], [bar, bar, zero]]))
+        )
+        code, report = run(capsys, "check", "--input", str(path), "--k", "3")
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+        assert "overflow" in report["error"]["message"]
+
+    def test_python_m_runs_the_cli(self, capsys):
+        """`python -m spectramono` from the source tree, with the package
+        not installed, prints what main prints in process."""
+        argv = ["construct", "paley", "--q", "7", "--hat", "--rep", "i"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "spectramono", *argv],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out.encode()
 
     def test_closed_pipe_exits_quietly(self, paley_hat_path, monkeypatch):
         """A reader that closes the pipe early (as `| head -1` does) makes

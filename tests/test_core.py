@@ -27,10 +27,12 @@ from spectramono.errors import (
     ModeMixError,
     NotTwoMonomorphicError,
 )
-from spectramono.scalars import GaussianScalar, rational
+from spectramono.scalars import EXACT, GaussianScalar, rational
 
 ONE = GaussianScalar.one()
 I = GaussianScalar.i_unit()
+
+UNIT_C = GaussianScalar.exact("3/5", "4/5")
 
 THREE_CYCLE = Tournament.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
@@ -218,6 +220,43 @@ class TestApplySelector:
         with pytest.raises(InputError):
             apply_selector(constant_structure(3, ONE), Selector.ones(4))
 
+    def test_matches_scalar_arithmetic(self):
+        """The action on component pairs gives what the scalar formula
+        (d(x) * g(x, y) * conj(d(y))).scale(scale_sq) gives: the same
+        rationals in exact mode and the same floats, bit for bit, in approx
+        mode. Labels are integral, rational, or over distinct prime
+        denominators; selector values are Pythagorean units or of modulus 5."""
+        r = genutil.rng(12)
+        for trial in range(60):
+            n = r.randrange(1, 9)
+            g = (
+                i_representation(genutil.random_tournament(r, n)),
+                genutil.random_hermitian(r, n),
+                genutil.random_coprime_hermitian(r, n),
+            )[trial % 3]
+            d = genutil.random_selector(r, n, scale_pool=(1, "3/7", "9/4"))
+            if trial % 2:
+                g = genutil.approx_copy(g)
+                d = Selector(
+                    [GaussianScalar.approx(float(v.re), float(v.im)) for v in d.values],
+                    float(d.scale_sq),
+                )
+            h = apply_selector(g, d)
+            assert h.mode == g.mode
+            for x in range(n):
+                assert h.labels[x][x].is_zero()
+                for y in range(n):
+                    if x == y:
+                        continue
+                    want = (d.values[x] * g.labels[x][y] * d.values[y].conj()).scale(
+                        d.scale_sq
+                    )
+                    got = h.labels[x][y]
+                    if g.mode == EXACT:
+                        assert got.to_text() == want.to_text()
+                    else:
+                        assert (got.re.hex(), got.im.hex()) == (want.re.hex(), want.im.hex())
+
 
 class TestRepresentations:
     def test_arc_labels(self):
@@ -308,6 +347,21 @@ class TestNormalizeAt:
         with pytest.raises(ExactnessError):
             normalize_at(g, 0)
 
+    def test_twisted_rational_labels(self):
+        """c-representations with label 3/5+4/5i twisted by Pythagorean
+        selectors: labels and selector values both have denominators, and
+        every twist of one structure normalizes to the same form."""
+        r = genutil.rng(13)
+        for _ in range(12):
+            n = r.randrange(3, 8)
+            base = c_representation(genutil.random_tournament(r, n), UNIT_C)
+            g = apply_selector(base, genutil.random_unit_selector(r, n))
+            w = r.randrange(n)
+            normal, d = normalize_at(g, w)
+            assert apply_selector(g, d) == normal
+            assert normal == normalize_at(base, w)[0]
+            assert all(normal.label(w, v) == ONE for v in range(n) if v != w)
+
     def test_needs_common_modulus(self):
         g = hermitian(
             {(0, 1): ONE, (0, 2): ONE, (1, 2): GaussianScalar.exact(2)}, 3
@@ -331,6 +385,30 @@ class TestAreEquivalent:
             h = apply_selector(g, genutil.random_selector(r, n))
             assert are_equivalent(g, h).equivalent
             assert are_equivalent(h, g).equivalent
+
+    def test_twisted_rational_labels(self):
+        """Two twists of one rational-label c-representation, one by a
+        Pythagorean unit selector and one by a modulus-5 selector with a
+        scale factor, are equivalent with an exact witness; a twist of
+        another tournament's representation is not equivalent."""
+        r = genutil.rng(14)
+        for _ in range(12):
+            n = r.randrange(3, 8)
+            t = genutil.random_tournament(r, n)
+            base = c_representation(t, UNIT_C)
+            g = apply_selector(base, genutil.random_unit_selector(r, n))
+            h = apply_selector(
+                base, Selector([r.choice(genutil.MOD5_POOL) for _ in range(n)], "9/4")
+            )
+            report = are_equivalent(g, h)
+            assert report.equivalent
+            assert apply_selector(g, report.witness) == h
+            other = t.reverse()
+            if other != t:
+                twisted = apply_selector(
+                    c_representation(other, UNIT_C), genutil.random_unit_selector(r, n)
+                )
+                assert not are_equivalent(g, twisted).equivalent
 
     def test_opposite_constants_differ(self):
         g = constant_structure(3, ONE)

@@ -5,15 +5,21 @@ import json
 import pytest
 
 import genutil
-from spectramono.constructions import SignMatrix, skew_adjacency
-from spectramono.core import HermitianStructure, i_representation
+from spectramono.constructions import SignMatrix, hat, paley_tournament, skew_adjacency
+from spectramono.core import (
+    HermitianStructure,
+    Selector,
+    apply_selector,
+    c_representation,
+    i_representation,
+)
 from spectramono.documents import (
     FORMAT_VERSION,
     parse_document,
     serialize_document,
 )
 from spectramono.errors import InputError
-from spectramono.scalars import APPROX, EXACT, GaussianScalar
+from spectramono.scalars import APPROX, EXACT, GaussianScalar, parse_scalar
 
 
 def valid_tournament_doc():
@@ -178,3 +184,45 @@ def test_exact_scalar_grammar_in_documents():
     assert doc["entries"][0][1] == "3/4-1/2i"
     assert doc["entries"][1][0] == "3/4+1/2i"
     assert parse_document(json.dumps(doc)).value == g
+
+
+class TestParseEachCellOnce:
+    """parse_document parses each distinct cell text once and shares the
+    scalar among the cells that repeat it."""
+
+    def test_repeated_cells_parse_like_each_cell(self):
+        g = i_representation(hat(paley_tournament(7)))
+        twisted = apply_selector(
+            c_representation(paley_tournament(7), GaussianScalar.exact("3/5", "4/5")),
+            Selector([GaussianScalar.exact("5/13", "-12/13")] * 7),
+        )
+        for value in (g, twisted, genutil.approx_copy(twisted)):
+            doc = json.loads(serialize_document(value))
+            cells = [cell for row in doc["entries"] for cell in row]
+            assert len(set(cells)) < len(cells)
+            parsed = parse_document(json.dumps(doc)).value
+            assert parsed == value
+            for row, labels in zip(doc["entries"], parsed.labels):
+                for cell, z in zip(row, labels):
+                    want = parse_scalar(cell, doc["mode"])
+                    assert (z.mode, repr(z.re), repr(z.im)) == (
+                        want.mode,
+                        repr(want.re),
+                        repr(want.im),
+                    )
+
+    def test_repeated_bad_cell_reports_the_first(self):
+        for mode, first, later in ((EXACT, "1/0", "2/0"), (APPROX, "1,x", "2,y")):
+            zero = "0" if mode == EXACT else "0.0,0.0"
+            doc = {
+                "format_version": FORMAT_VERSION,
+                "kind": "hermitian",
+                "n": 3,
+                "mode": mode,
+                "entries": [[zero, first, later], [first, zero, first], [later, first, zero]],
+            }
+            with pytest.raises(InputError) as want:
+                parse_scalar(first, mode)
+            with pytest.raises(InputError) as got:
+                parse_document(json.dumps(doc))
+            assert str(got.value) == str(want.value)
