@@ -12,6 +12,16 @@ Enumerations slice principal submatrices of one such matrix instead of
 building substructures. Determinants come from an independent elimination
 so the identity P(0) = (-1)^n det M is a genuine cross-check rather than a
 tautology.
+
+In exact mode the same recurrence pass can also accumulate the adjugates
+adj(x_j I - A) at integer points x_j above the spectrum of A. Jacobi's
+complementary minor identity (Horn & Johnson, Matrix Analysis, 0.8.4),
+det adj(xI - A)[T] = P_A(x)^(|T|-1) * P_{A[S]}(x) for T the complement of
+S, then gives every principal submatrix polynomial of order n - 1, n - 2
+or n - 3 at the points from a minor of order 1 to 3. A monic polynomial of
+degree k is fixed by its values at k points, so comparing these values
+decides equality. Large-k enumeration and the deletion spectra use this
+route and check it against polynomials from the recurrence itself.
 """
 
 from __future__ import annotations
@@ -213,21 +223,29 @@ def _pair_dot(row, col):
     return sre, sim
 
 
-def _matrix_char_poly(a, d):
-    """Characteristic polynomial of a matrix (A, D) in _label_matrix form.
+def _recurrence(a, mode, points=()):
+    """Descending coefficients 1, c_1, ..., c_n of det(xI - A) by one
+    Faddeev-LeVerrier pass: M_1 = A, c_k = -trace(M_k) / k,
+    N_k = M_k + c_k I, M_{k+1} = A N_k.
 
-    One recurrence for both modes; only the way c_k is checked and formed
-    differs. Exact mode: a Hermitian Gaussian-integer matrix has an integer
+    Exact mode: a Hermitian Gaussian-integer matrix has an integer
     characteristic polynomial, so every trace is real and every division
-    by k is exact; both are checked, and descending coefficient j of P_A is
-    then divided by D^j. Approx mode: a trace that overflowed floats is an
-    InputError, the trace must be real within eps and c_k = -trace / k. The
-    last product is only needed for its trace, so only its diagonal is
-    formed.
+    by k is exact; both are checked. Approx mode: a trace that overflowed
+    floats is an InputError, the trace must be real within eps and
+    c_k = -trace / k. The last product is only needed for its trace, so
+    only its diagonal is formed.
+
+    For each integer x in points (exact mode) the same pass also returns
+    adj(xI - A) = x^(n-1) I + x^(n-2) N_1 + ... + N_(n-1), accumulated by
+    one Horner step per N_k, as a pair of flat row-major lists (re, im).
     """
-    mode = APPROX if d is None else EXACT
     n = len(a)
     descending = [1]
+    adjugates = []
+    if points:
+        # each Horner step below builds new lists, so the points can share I
+        identity = [1 if i == j else 0 for i in range(n) for j in range(n)]
+        adjugates = [(identity, [0] * (n * n)) for _ in points]
     mk = a
     diagonal = [row[i] for i, row in enumerate(a)]
     for k in range(1, n + 1):
@@ -252,6 +270,18 @@ def _matrix_char_poly(a, d):
         descending.append(ck)
         if k == n:
             break
+        if points:
+            n_re = [re for row in mk for re, _ in row]
+            n_im = [im for row in mk for _, im in row]
+            for i in range(0, n * n, n + 1):
+                n_re[i] += ck
+            adjugates = [
+                (
+                    [x * r + c for r, c in zip(r_re, n_re)],
+                    [x * r + c for r, c in zip(r_im, n_im)],
+                )
+                for x, (r_re, r_im) in zip(points, adjugates)
+            ]
         # columns of M_k + c_k I
         cols = [list(col) for col in zip(*mk)]
         for i, col in enumerate(cols):
@@ -262,9 +292,79 @@ def _matrix_char_poly(a, d):
             diagonal = [row[i] for i, row in enumerate(mk)]
         else:
             diagonal = [_pair_dot(row, col) for row, col in zip(a, cols)]
+    return descending, adjugates
+
+
+def _matrix_char_poly(a, d):
+    """Characteristic polynomial of a matrix (A, D) in _label_matrix form:
+    the recurrence on A, with descending coefficient j of P_A divided by
+    D^j in exact mode, since P_M(x) = D^-n P_A(D x)."""
+    mode = APPROX if d is None else EXACT
+    descending, _ = _recurrence(a, mode)
     if mode == EXACT and d != 1:
         descending = [rational(c) / d**j for j, c in enumerate(descending)]
     return RealPolynomial(descending[::-1], mode)
+
+
+def _adjugates(a, count):
+    """(P_A, points, P_A at the points, adjugates) for a Hermitian
+    Gaussian-integer matrix A and `count` integer points x_j above
+    1 + the largest row sum of |re| + |im|, which bounds every eigenvalue,
+    so P_A(x_j) > 0 and xI - A is invertible there. The adjugates
+    adj(x_j I - A) come out of the same recurrence pass as P_A."""
+    bound = max(sum(abs(re) + abs(im) for re, im in row) for row in a)
+    points = [bound + 1 + j for j in range(1, count + 1)]
+    descending, adjugates = _recurrence(a, EXACT, points)
+    values = []
+    for x in points:
+        value = 0
+        for c in descending:
+            value = value * x + c
+        if value <= 0:
+            raise InvariantError(
+                f"characteristic polynomial is {value} at {x}, above the spectrum"
+            )
+        values.append(value)
+    return RealPolynomial(descending[::-1], EXACT), points, values, adjugates
+
+
+def _complementary_minors(adjugates, n, t, count):
+    """det(adj(x_j I - A)[t]) at the first `count` points, for a set t of
+    one to three indices. By Jacobi's complementary minor identity this is
+    P_A(x_j)^(|t| - 1) * P_{A[S]}(x_j) for S the complement of t, so the
+    characteristic polynomial of every principal submatrix of order n - |t|
+    can be read off the adjugates at the points. The adjugates are
+    Hermitian, which the closed forms of the minors use."""
+    if len(t) == 1:
+        i = t[0] * (n + 1)
+        return [re[i] for re, _ in adjugates[:count]]
+    if len(t) == 2:
+        a, b = t
+        aa, bb, ab = a * (n + 1), b * (n + 1), a * n + b
+        return [
+            re[aa] * re[bb] - re[ab] * re[ab] - im[ab] * im[ab]
+            for re, im in adjugates[:count]
+        ]
+    a, b, c = t
+    aa, bb, cc = a * (n + 1), b * (n + 1), c * (n + 1)
+    ab, ac, bc = a * n + b, a * n + c, b * n + c
+    minors = []
+    for re, im in adjugates[:count]:
+        ea, eb, ec = re[aa], re[bb], re[cc]
+        pr, pi = re[ab], im[ab]
+        qr, qi = re[ac], im[ac]
+        rr, ri = re[bc], im[bc]
+        # det = abc + 2 Re(p r conj(q)) - a|r|^2 - b|q|^2 - c|p|^2
+        sr = pr * rr - pi * ri
+        si = pr * ri + pi * rr
+        minors.append(
+            ea * eb * ec
+            + 2 * (sr * qr + si * qi)
+            - ea * (rr * rr + ri * ri)
+            - eb * (qr * qr + qi * qi)
+            - ec * (pr * pr + pi * pi)
+        )
+    return minors
 
 
 def char_poly(g):

@@ -93,31 +93,40 @@ def _lifted_selector(m, gamma, lift, s):
     return d
 
 
+def _too_close(what):
+    """The InputError for approx labels that pass each tolerance test of the
+    reduction on their own while the selector built from them drifts
+    further: its error adds up the errors of several labels and phases."""
+    return InputError(
+        f"approx labels sit too close to the tolerance: {what} by more than "
+        f"eps {get_eps()!r}; exact labels or another eps decide it"
+    )
+
+
 def _check_reapplied(m, d, rows, gamma, gamma_bar, mode, target_scale):
-    """Re-apply the selector: raise InvariantError unless
+    """Re-apply the selector: raise unless
     d(x) * c(x, y) * conj(d(y)) == target_scale * g(x, y) at every ordered
     pair x != y, where c(x, y) is gamma on the arcs in rows and gamma_bar
-    against them. Exact mode compares literally, approx mode within eps on
-    each component, as GaussianScalar equality does."""
-    eps = get_eps()
+    against them, by the rule of _matches.
+
+    A failure is a broken invariant in exact mode and _too_close input in
+    approx mode."""
     n = len(m)
     for x in range(n):
         for y in range(n):
             if x == y:
                 continue
             c = gamma if rows[x] >> y & 1 else gamma_bar
-            got_re, got_im = pair_product(d[x], c, d[y])
             re, im = m[x][y]
-            re, im = re * target_scale, im * target_scale
-            if mode == EXACT:
-                same = got_re == re and got_im == im
-            else:
-                same = abs(got_re - re) <= eps and abs(got_im - im) <= eps
-            if not same:
-                raise InvariantError(
-                    "canonical reduction selector failed to reproduce input "
-                    f"at ({x},{y})"
-                )
+            want = (re * target_scale, im * target_scale)
+            got = pair_product(d[x], c, d[y])
+            if got == want or _matches(got, want, mode):
+                continue
+            if mode != EXACT:
+                raise _too_close(f"the reduced form misses the input at ({x},{y})")
+            raise InvariantError(
+                f"canonical reduction selector failed to reproduce input at ({x},{y})"
+            )
 
 
 def reduce_to_canonical_labels(g):
@@ -208,7 +217,12 @@ def reduce_to_canonical_labels(g):
                 for x in range(n)
             ]
         )
-    selector = Selector([_scalar(dv, lift * lift, mode) for dv in d])
+    try:
+        selector = Selector([_scalar(dv, lift * lift, mode) for dv in d])
+    except InvariantError:
+        if mode == EXACT:
+            raise
+        raise _too_close("the selector values differ in modulus") from None
     return CanonicalReduction(
         modulus_squared=rational(msq) if mode == EXACT else msq,
         gamma=gamma_scalar,

@@ -13,6 +13,8 @@ from typing import Optional
 
 from .charpoly import (
     RealPolynomial,
+    _adjugates,
+    _complementary_minors,
     _matrix_char_poly,
     _principal_submatrix,
     char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
@@ -398,6 +400,15 @@ def verify_deletion_spectra(s, max_deletions=3):
 
     s must be a skew conference matrix of order 4t + 4 with t >= 1. The
     failure field, when set, is (deleted subset, expected poly, actual poly).
+
+    One recurrence pass gives the full polynomial and the adjugates
+    adj(x_j I - A) of A = i * S at n - 1 points x_j. A d-deletion T is then
+    checked through Jacobi's identity: det(adj(x_j I - A)[T]) must equal
+    P_A(x_j)^(d-1) times the closed form at x_j for the first n - d points,
+    which decides equality of the two monic degree-(n - d) polynomials. The
+    first deletion that fails is recomputed by the recurrence alone, which
+    must differ from the closed form, so the failure comes from the same
+    route as before and each route checks the other.
     """
     report = validate_sign_matrix(s, "skew_conference")
     if not report.ok:
@@ -413,13 +424,29 @@ def verify_deletion_spectra(s, max_deletions=3):
     # the labels i * s(x, y) as Gaussian-integer pairs; i * S is Hermitian
     # because S is skew
     labels = [[(0, v) for v in row] for row in s.entries]
+    full, points, values, adjugates = _adjugates(labels, n - 1 if max_deletions else 0)
     checked = 0
     for d in range(max_deletions + 1):
         expected = closed_form_deletion_poly(t, d)
+        size = n - d
+        # minors decide only against a monic polynomial of the deletion's degree
+        want = None
+        if d > 0 and expected.degree == size and expected.is_monic():
+            want = [
+                value ** (d - 1) * expected.evaluate(x)
+                for value, x in zip(values, points[:size])
+            ]
         for deleted in colex_subsets(n, d):
-            keep = [v for v in range(n) if v not in deleted]
-            actual = _matrix_char_poly(_principal_submatrix(labels, keep), 1)
             checked += 1
+            if want is not None and want == _complementary_minors(
+                adjugates, n, deleted, size
+            ):
+                continue
+            if d == 0:
+                actual = full
+            else:
+                keep = [v for v in range(n) if v not in deleted]
+                actual = _matrix_char_poly(_principal_submatrix(labels, keep), 1)
             if actual != expected:
                 return DeletionSpectraReport(
                     n=n,
@@ -428,6 +455,11 @@ def verify_deletion_spectra(s, max_deletions=3):
                     ok=False,
                     polys_checked=checked,
                     failure=(deleted, expected, actual),
+                )
+            if want is not None:
+                raise InvariantError(
+                    f"complementary minors of deletion {deleted} disagree with "
+                    "the closed form, but its characteristic polynomial does not"
                 )
     return DeletionSpectraReport(
         n=n, t=t, max_deletions=max_deletions, ok=True, polys_checked=checked

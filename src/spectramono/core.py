@@ -585,10 +585,27 @@ def i_representation(t, mode=EXACT):
     return c_representation(t, GaussianScalar.i_unit(mode))
 
 
-def _phase_product(g, w, u, v):
-    """g(w,u) * g(u,v) * conj(g(w,v)): the label of the form normalized at w,
-    up to the positive real factor m^3. Only its phase is ever compared."""
-    return g.labels[w][u] * g.labels[u][v] * g.labels[w][v].conj()
+def _phase_pairs(g):
+    """(P, f): the label components of g as (re, im) pairs P and a positive
+    real f with g = P * f. Exact mode clears denominators, so P holds
+    Gaussian integers and f = 1/D; approx mode gives the float components
+    and f = 1.0. The phase product g(w,u) g(u,v) conj(g(w,v)), the label of
+    the form normalized at w up to the positive real factor m^3, is then
+    pair_product(P[w][u], P[u][v], P[w][v]) times f^3."""
+    pairs = [[(e.re, e.im) for e in row] for row in g.labels]
+    if g.mode != EXACT:
+        return pairs, 1.0
+    pairs, d = clear_denominators(pairs)
+    return pairs, ratio(1, d)
+
+
+def _finite(pair, mode):
+    """pair, checked as GaussianScalar checks approx components, so that a
+    phase product that overflows floats stays an input error."""
+    re, im = pair
+    if mode != EXACT and not (math.isfinite(re) and math.isfinite(im)):
+        raise InputError(f"approx components must be finite, got {re!r}, {im!r}")
+    return pair
 
 
 def normalize_at(g, w):
@@ -621,8 +638,11 @@ def normalize_at(g, w):
     else:
         m = math.sqrt(msq)
         m_cubed = msq * m
-    one = GaussianScalar.one(g.mode)
-    zero = GaussianScalar.zero(g.mode)
+    mode = g.mode
+    one = GaussianScalar.one(mode)
+    zero = GaussianScalar.zero(mode)
+    p, f = _phase_pairs(g)
+    factor = f**3 / m_cubed
     rows = []
     for u in range(g.n):
         row = []
@@ -632,7 +652,8 @@ def normalize_at(g, w):
             elif u == w or v == w:
                 row.append(one)
             else:
-                row.append(_phase_product(g, w, u, v).scale(1 / m_cubed))
+                re, im = _finite(pair_product(p[w][u], p[u][v], p[w][v]), mode)
+                row.append(GaussianScalar(re * factor, im * factor, mode))
         rows.append(row)
     normalized = HermitianStructure(rows)
     values = [
@@ -661,8 +682,8 @@ class EquivalenceReport:
     note: Optional[str] = None
 
 
-def _real_positive(z, mode):
-    return negligible(z.im, z.re, mode) and z.re > 0
+def _real_positive(re, im, mode):
+    return negligible(im, re, mode) and re > 0
 
 
 def are_equivalent(g, h):
@@ -690,11 +711,18 @@ def are_equivalent(g, h):
         msq_h = h.common_modulus_squared()
     except NotTwoMonomorphicError as exc:
         return EquivalenceReport(False, reason=f"right structure: {exc}")
+    # exact mode drops the positive factors f^3 of _phase_pairs, which
+    # change neither the sign nor the realness of p * conj(q)
+    mode = g.mode
+    a, _ = _phase_pairs(g)
+    b, _ = _phase_pairs(h)
     for u in range(1, g.n):
         for v in range(u + 1, g.n):
-            p = _phase_product(g, 0, u, v)
-            q = _phase_product(h, 0, u, v)
-            if not _real_positive(p * q.conj(), g.mode):
+            pr, pi = _finite(pair_product(a[0][u], a[u][v], a[0][v]), mode)
+            qr, qi = _finite(pair_product(b[0][u], b[u][v], b[0][v]), mode)
+            # p * conj(q), the floats of GaussianScalar arithmetic
+            z = _finite((pr * qr + pi * qi, pi * qr - pr * qi), mode)
+            if not _real_positive(*z, mode):
                 return EquivalenceReport(
                     False,
                     reason=f"normalized forms differ at pair ({u},{v})",

@@ -9,10 +9,14 @@ pair of subsets is deterministic and becomes the reported witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
 from typing import Optional
 
 from .charpoly import (
     RealPolynomial,
+    _adjugates,
+    _complementary_minors,
     _label_components,
     _label_matrix,
     _matrix_char_poly,
@@ -22,8 +26,8 @@ from .charpoly import (
 )
 from .combinat import colex_subsets
 from .core import HermitianStructure, substructure  # noqa: F401 - as char_poly
-from .errors import InputError
-from .scalars import EXACT, GaussianScalar, close, get_eps, rational
+from .errors import InputError, InvariantError
+from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, rational
 
 
 def _compare_polys(a, b, mode):
@@ -71,34 +75,100 @@ def is_k_spectrally_monomorphic(g, k):
     k must satisfy 1 <= k <= n; larger k has no substructures to compare and
     is rejected rather than treated as vacuously true. The label matrix is
     built once and each subset's polynomial comes from its principal
-    submatrix, the same computation char_poly(substructure(g, subset)) does.
+    submatrix, the same computation char_poly(substructure(g, subset)) does,
+    or, for large k in exact mode, from Jacobi's complementary minors (see
+    _enumerate).
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("is_k_spectrally_monomorphic takes a HermitianStructure")
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g.n:
         raise InputError(f"subset size must satisfy 1 <= k <= {g.n}, got {k!r}")
     m, d = _label_matrix(g)
+    return _enumerate(m, d, k, lambda: _adjugates(m, k))
+
+
+def _direct_count(n, k):
+    """ceil((n/k)^4): about the cost of the order-n recurrence behind the
+    adjugates, counted in order-k recurrences. Enumerating that many
+    subsets directly first keeps witnesses found early as cheap as before."""
+    return -(-(n**4) // k**4)
+
+
+def _negative_report(k, reference_subset, subset, reference_poly, poly, checked, fragile):
+    return MonomorphyReport(
+        k=k,
+        monomorphic=False,
+        witness=(reference_subset, subset),
+        witness_polys=(reference_poly, poly),
+        subsets_checked=checked,
+        fragile=fragile,
+    )
+
+
+def _enumerate(m, d, k, adjugates):
+    """MonomorphyReport for the k-subsets of the (A, D) matrix m of
+    _label_matrix, in colex order.
+
+    In exact mode with n - k <= 3 and 2k > n, the subsets after the first
+    _direct_count(n, k) are compared through the complementary minors of
+    adj(x_j I - A) at k points x_j: by Jacobi's identity two subsets share
+    the minor vector exactly when their monic degree-k polynomials agree at
+    all k points, that is when the polynomials are equal. adjugates() gives
+    (P_A, points, P_A at the points, adjugates) for at least k points; it
+    is called at most once, and may be a cache shared across k. The
+    reference and witness polynomials still come from the recurrence on
+    those subsets alone; the reference's minor vector must match its
+    polynomial, and a witness polynomial equal to the reference raises
+    InvariantError, so the two routes check each other.
+    """
+    n = len(m)
+    mode = APPROX if d is None else EXACT
+    subsets = colex_subsets(n, k)
+    jacobi = mode == EXACT and n - k <= 3 and 2 * k > n
     reference_subset = None
     reference_poly = None
     checked = 0
     fragile_any = False
-    for subset in colex_subsets(g.n, k):
+    for subset in islice(subsets, _direct_count(n, k) if jacobi else None):
         checked += 1
         poly = _matrix_char_poly(_principal_submatrix(m, subset), d)
         if reference_poly is None:
             reference_subset = subset
             reference_poly = poly
             continue
-        equal, fragile = _compare_polys(reference_poly, poly, g.mode)
+        equal, fragile = _compare_polys(reference_poly, poly, mode)
         fragile_any = fragile_any or fragile
         if not equal:
-            return MonomorphyReport(
-                k=k,
-                monomorphic=False,
-                witness=(reference_subset, subset),
-                witness_polys=(reference_poly, poly),
-                subsets_checked=checked,
-                fragile=fragile_any,
+            return _negative_report(
+                k, reference_subset, subset, reference_poly, poly, checked, fragile_any
+            )
+    # colex order on k-subsets is reverse colex order on their complements
+    complements = list(colex_subsets(n, n - k))[::-1] if jacobi else ()
+    if checked < len(complements):
+        _, points, values, adj = adjugates()
+        scale = rational(d) ** k
+        expected = [
+            value ** (n - k - 1) * reference_poly.evaluate(rational(x) / d) * scale
+            for value, x in zip(values, points[:k])
+        ]
+        reference_minors = _complementary_minors(adj, n, complements[0], k)
+        if reference_minors != expected:
+            raise InvariantError(
+                "complementary minors disagree with the reference polynomial"
+            )
+        for t in complements[checked:]:
+            checked += 1
+            if _complementary_minors(adj, n, t, k) == reference_minors:
+                continue
+            subset = tuple(v for v in range(n) if v not in t)
+            poly = _matrix_char_poly(_principal_submatrix(m, subset), d)
+            if poly == reference_poly:
+                raise InvariantError(
+                    f"complementary minors of {subset} differ from the reference, "
+                    "but its characteristic polynomial does not"
+                )
+            return _negative_report(
+                k, reference_subset, subset, reference_poly, poly, checked, False
             )
     return MonomorphyReport(
         k=k,
@@ -110,10 +180,14 @@ def is_k_spectrally_monomorphic(g, k):
 
 
 def monomorphy_profile(g):
-    """MonomorphyReport for every k in 1..n."""
+    """MonomorphyReport for every k in 1..n. The label matrix is built once,
+    and the adjugates of the Jacobi route once, on first need, at the n - 1
+    points the largest such k asks for."""
     if not isinstance(g, HermitianStructure):
         raise InputError("monomorphy_profile takes a HermitianStructure")
-    return {k: is_k_spectrally_monomorphic(g, k) for k in range(1, g.n + 1)}
+    m, d = _label_matrix(g)
+    adjugates = cache(lambda: _adjugates(m, g.n - 1))
+    return {k: _enumerate(m, d, k, adjugates) for k in range(1, g.n + 1)}
 
 
 @dataclass(frozen=True)

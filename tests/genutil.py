@@ -123,3 +123,33 @@ def approx_copy(g):
 def permuted(g, perm):
     """g relabelled so that new vertex x is old vertex perm[x]."""
     return HermitianStructure([[g.labels[a][b] for b in perm] for a in perm])
+
+
+def jittered_c_representations(count=119, seed=6, amplitude=3e-10):
+    """Pairs (g, h): g an exact c-representation and h a jittered approx
+    copy of it. g is a c-representation of a random 6-vertex tournament
+    with label 3/5+4/5i, twisted by a random unit selector; h moves every
+    label component of g above the diagonal uniformly within +-amplitude
+    (the labels below it stay the conjugates). At the default amplitude,
+    under a third of eps, some sit where the canonical reduction accepts
+    each phase while its selector misses the input by more than eps."""
+    from spectramono.core import apply_selector, c_representation
+
+    r = rng(seed)
+    label = GaussianScalar.exact(rational("3/5"), rational("4/5"))
+    out = []
+    for _ in range(count):
+        g = c_representation(random_tournament(r, 6), label)
+        g = apply_selector(g, random_unit_selector(r, 6))
+        rows = [list(row) for row in approx_copy(g).labels]
+        for x in range(6):
+            for y in range(x + 1, 6):
+                e = rows[x][y]
+                z = GaussianScalar.approx(
+                    e.re + r.uniform(-amplitude, amplitude),
+                    e.im + r.uniform(-amplitude, amplitude),
+                )
+                rows[x][y] = z
+                rows[y][x] = z.conj()
+        out.append((g, HermitianStructure(rows)))
+    return out

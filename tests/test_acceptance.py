@@ -6,8 +6,10 @@ a wall-clock bound where speed is part of the guarantee. Everything runs
 in exact arithmetic; there are no tolerances anywhere in this module.
 """
 
+import json
 import time
 from itertools import combinations
+from math import comb
 
 import genutil
 from spectramono.charpoly import (
@@ -23,8 +25,10 @@ from spectramono.classify import (
     classify_k3,
     classify_n_minus_3,
 )
+from spectramono.cli import main
 from spectramono.constructions import (
     SignMatrix,
+    closed_form_deletion_poly,
     hat,
     i_weighted,
     is_homogeneous,
@@ -43,6 +47,7 @@ from spectramono.core import (
     i_representation,
     substructure,
 )
+from spectramono.documents import serialize_document
 from spectramono.monomorphy import is_k_spectrally_monomorphic, pouzet_transfer_check
 from spectramono.scalars import BACKEND, EXACT, GaussianScalar
 
@@ -266,3 +271,24 @@ def test_criterion_12_pouzet_transfer_tables():
         rep = pouzet_transfer_check(table, p, gap, n)
         assert not rep.hypothesis_holds
         checked += 1
+
+
+def test_criterion_13_all_k_profile_at_hat_paley_eleven(tmp_path, capsys):
+    """check --all-k on the hat(Paley-11) i-representation (n = 12): exit 1,
+    monomorphic exactly at k = 1, 2, 3 and 9..12, with the closed-form
+    deletion polynomials as common polys from k = 9 on, in under 5 s."""
+    path = tmp_path / "hat_paley11.json"
+    path.write_text(serialize_document(i_representation(hat(paley_tournament(11)))))
+    start = time.monotonic()
+    code = main(["check", "--input", str(path), "--all-k"])
+    elapsed = time.monotonic() - start
+    profile = json.loads(capsys.readouterr().out)["all_k"]
+    assert code == 1
+    positive = [k for k in range(1, 13) if profile[str(k)]["monomorphic"]]
+    assert positive == [1, 2, 3, 9, 10, 11, 12]
+    for k in range(9, 13):
+        result = profile[str(k)]
+        assert result["subsets_checked"] == comb(12, k)
+        expected = closed_form_deletion_poly(2, 12 - k).coefficient_strings()
+        assert result["common_poly"]["coefficients"] == expected
+    assert elapsed < 5.0, f"took {elapsed:.3f}s"

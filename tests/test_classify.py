@@ -461,6 +461,29 @@ class TestApproxClassifyK3:
             seen.add(type(exact.variant))
         assert seen == {CRepTransitive, IRepDominatedNonTransitive, NotMonomorphic}
 
+    def test_jittered_labels_never_break_an_invariant(self):
+        """Float copies of twisted c-representations with every label
+        component jittered within +-3e-10 (eps is 1e-9) get a verdict, or an
+        InputError when the reduction's selector drifts past eps, never an
+        InvariantError. A positive verdict is one the exact input has too,
+        and its selector reproduces the input."""
+        verdicts = errors = 0
+        for g, h in genutil.jittered_c_representations():
+            exact = classify_k3(g)
+            for classify_ in (classify_k3, classify_n_minus_3):
+                try:
+                    approx = classify_(h)
+                except InputError as exc:
+                    assert "too close to the tolerance" in str(exc)
+                    errors += 1
+                    continue
+                verdicts += 1
+                if approx.monomorphic:
+                    assert type(approx.variant) is type(exact.variant)
+                    reproduced = apply_selector(approx.canonical, approx.witness_selector)
+                    assert reproduced == h
+        assert verdicts + errors == 2 * 119
+
 
 SHAPES = ("random", "transitive", "hat", "hat_paley7")
 

@@ -15,11 +15,13 @@ from pathlib import Path
 
 import pytest
 
+import genutil
 from spectramono.cli import main
 from spectramono.constructions import (
     SignMatrix,
     hat,
     paley_tournament,
+    skew_adjacency,
     skew_hadamard_from_drt,
 )
 from spectramono.core import (
@@ -510,3 +512,50 @@ class TestApproxDocument:
         code, out = self._out(capsys, "classify", "--input", path, "--k", "3")
         assert code == 0
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenBytes:
+    """Reports of the Jacobi route pinned byte for byte: spectra at orders 8
+    and 12 and check --all-k on the i-representations of hat(Paley-7) and
+    hat(Paley-11). The expected files hold the bytes the per-subset
+    recurrence printed before the route existed."""
+
+    def _out(self, tmp_path, capsys, name, value, *argv):
+        path = write_doc(tmp_path, name + ".in.json", value)
+        code = main([argv[0], "--input", path, *argv[1:]])
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_spectra(self, q, tmp_path, capsys):
+        name = f"spectra_order{q + 1}"
+        s = skew_adjacency(hat(paley_tournament(q)))
+        code, out = self._out(tmp_path, capsys, name, s, "spectra")
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_all_k(self, q, tmp_path, capsys):
+        name = f"all_k_hat_paley{q}"
+        g = i_representation(hat(paley_tournament(q)))
+        code, out = self._out(tmp_path, capsys, name, g, "check", "--all-k")
+        assert code == 1
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+class TestJitteredApproxReduction:
+    """Approx labels within the tolerance can pass each test of the
+    canonical reduction while the selector built from them misses the input
+    by a little more than eps. The CLI reports a verdict or an input error
+    for them, never a crash."""
+
+    def test_exit_codes(self, tmp_path, capsys):
+        for index, (_, g) in enumerate(genutil.jittered_c_representations()):
+            path = write_doc(tmp_path, f"j{index}.json", g)
+            for command in ("classify", "check"):
+                code, report = run(capsys, command, "--input", path, "--k", "3")
+                assert code in (0, 1, 2, 3), report
+                if code == 2:
+                    assert report["error"]["kind"] == "input"

@@ -3,7 +3,9 @@
 import pytest
 
 import genutil
+from spectramono import constructions
 from spectramono.charpoly import RealPolynomial, char_poly, poly_x_squared_minus
+from spectramono.combinat import colex_subsets
 from spectramono.constructions import (
     DrtCertificate,
     SignMatrix,
@@ -20,7 +22,7 @@ from spectramono.constructions import (
     validate_sign_matrix,
     verify_deletion_spectra,
 )
-from spectramono.core import Tournament, i_representation, transitive_tournament
+from spectramono.core import Tournament, i_representation, substructure, transitive_tournament
 from spectramono.errors import InputError, InvariantError
 from spectramono.scalars import EXACT
 
@@ -321,3 +323,89 @@ class TestDeletionSpectra:
         s = minus_identity(skew_hadamard_from_drt(paley_tournament(3)))
         with pytest.raises(InputError):
             verify_deletion_spectra(s)
+
+
+def _deletion_loop(s, max_deletions, closed_form):
+    """(polys_checked, failure) of the per-deletion loop: char_poly of every
+    deletion of i_weighted(s), in order, against the closed form."""
+    g = i_weighted(s)
+    n = s.n
+    t = (n - 4) // 4
+    checked = 0
+    for d in range(max_deletions + 1):
+        expected = closed_form(t, d)
+        for deleted in colex_subsets(n, d):
+            checked += 1
+            actual = char_poly(substructure(g, [v for v in range(n) if v not in deleted]))
+            if actual != expected:
+                return checked, (deleted, expected, actual)
+    return checked, None
+
+
+def _wrong_closed_form(bad, how):
+    """closed_form_deletion_poly, except wrong at d = bad."""
+
+    def closed_form(t, d):
+        poly = closed_form_deletion_poly(t, d)
+        if d != bad:
+            return poly
+        c = list(poly.coefficients)
+        if how == "constant":
+            c[0] += 1
+        elif how == "middle":
+            c[len(c) // 2] -= 2
+        elif how == "not_monic":
+            c.append(1)
+        else:  # degree one short
+            c = c[1:]
+        return RealPolynomial(c, EXACT)
+
+    return closed_form
+
+
+class TestDeletionSpectraRoute:
+    """The deletions are checked through complementary minors of one
+    adjugate per point. The report must be the per-deletion loop's."""
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_failure_matches_per_deletion_loop(self, q, monkeypatch):
+        s = skew_adjacency(hat(paley_tournament(q)))
+        for bad in range(4):
+            for how in ("constant", "middle", "not_monic", "short"):
+                wrong = _wrong_closed_form(bad, how)
+                monkeypatch.setattr(constructions, "closed_form_deletion_poly", wrong)
+                for max_deletions in range(4):
+                    report = verify_deletion_spectra(s, max_deletions)
+                    checked, failure = _deletion_loop(s, max_deletions, wrong)
+                    assert report.polys_checked == checked
+                    assert report.failure == failure
+                    assert report.ok == (failure is None)
+
+    def test_signed_permutation_passes(self):
+        r = genutil.rng(63)
+        entries = skew_adjacency(hat(paley_tournament(11))).entries
+        n = len(entries)
+        perm = list(range(n))
+        r.shuffle(perm)
+        e = [r.choice((1, -1)) for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                rows[perm[x]][perm[y]] = e[x] * e[y] * entries[x][y]
+        report = verify_deletion_spectra(SignMatrix(rows))
+        assert report.ok and report.polys_checked == 299
+
+    def test_minors_that_disagree_alone_are_an_invariant_error(self, monkeypatch):
+        """A deletion whose minors miss the closed form while its
+        characteristic polynomial matches it is a broken route."""
+        minors = constructions._complementary_minors
+
+        def corrupted(adjugates, n, t, count):
+            values = minors(adjugates, n, t, count)
+            return [v + 1 for v in values] if t == (2, 5) else values
+
+        monkeypatch.setattr(constructions, "_complementary_minors", corrupted)
+        s = skew_adjacency(hat(paley_tournament(7)))
+        assert verify_deletion_spectra(s, 1).ok
+        with pytest.raises(InvariantError):
+            verify_deletion_spectra(s, 2)

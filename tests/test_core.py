@@ -370,7 +370,25 @@ class TestNormalizeAt:
             normalize_at(g, 0)
 
 
+def _huge_approx(v, n=5):
+    """The approx structure with label v+vi above the diagonal."""
+    z = GaussianScalar.approx(v, v)
+    zero = GaussianScalar.approx(0.0, 0.0)
+    return HermitianStructure(
+        [[zero if x == y else z if x < y else z.conj() for y in range(n)] for x in range(n)]
+    )
+
+
 class TestAreEquivalent:
+    def test_overflowing_phase_products_are_input_errors(self):
+        """Phase products that overflow floats stop with the input error of
+        approx scalar arithmetic, rather than deciding anything."""
+        for v in (1e60, 1e110):
+            with pytest.raises(InputError, match="must be finite"):
+                are_equivalent(_huge_approx(v), _huge_approx(v))
+        with pytest.raises(InputError, match="must be finite"):
+            normalize_at(_huge_approx(1e110), 0)
+
     def test_reflexive(self):
         g = i_representation(THREE_CYCLE)
         report = are_equivalent(g, g)

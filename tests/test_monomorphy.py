@@ -5,18 +5,21 @@ from itertools import combinations
 import pytest
 
 import genutil
+from spectramono import monomorphy
 from spectramono.charpoly import RealPolynomial, char_poly, determinant, poly_x_squared_minus
 from spectramono.combinat import colex_subsets
 from spectramono.constructions import hat, paley_tournament
 from spectramono.core import (
     HermitianStructure,
+    Selector,
+    apply_selector,
     c_representation,
     constant_structure,
     i_representation,
     substructure,
     transitive_tournament,
 )
-from spectramono.errors import InputError
+from spectramono.errors import InputError, InvariantError
 from spectramono.monomorphy import (
     _compare_polys,
     det_constancy,
@@ -297,3 +300,161 @@ class TestPouzetTransfer:
         table = {z: 1 for z in combinations(range(3), 2)}
         with pytest.raises(InputError):
             pouzet_transfer_check(table, 2, 2, n=3)
+
+
+def _jacobi_ks(n):
+    """The k that the Jacobi route serves on n vertices (besides k = n)."""
+    return [k for k in range(1, n) if n - k <= 3 and 2 * k > n]
+
+
+def _integral_hermitian(r, n, span=3):
+    labels = [[GaussianScalar.exact(0, 0) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            labels[i][j] = GaussianScalar.exact(r.randint(-span, span), r.randint(-span, span))
+            labels[j][i] = labels[i][j].conj()
+    return HermitianStructure(labels)
+
+
+def _with_one_pair_changed(r, g):
+    """g with the label of one random pair replaced by its conjugate, or
+    by twice itself when it is real, so that some but not all subsets see
+    the change."""
+    n = g.n
+    u, v = sorted(r.sample(range(n), 2))
+    rows = [list(row) for row in g.labels]
+    label = rows[u][v]
+    new = label.conj() if label.im != 0 else label.scale(2)
+    rows[u][v], rows[v][u] = new, new.conj()
+    return HermitianStructure(rows)
+
+
+def _jacobi_structures():
+    """Exact structures on 3 to 9 vertices: positives and negatives with
+    integral, Pythagorean-rational and coprime-denominator labels."""
+    r = genutil.rng(61)
+    twist = lambda g: apply_selector(g, genutil.random_selector(r, g.n))
+    out = [dominated_paley_seven(), twist(dominated_paley_seven())]
+    for n in range(3, 10):
+        transitive = transitive_tournament(n)
+        positives = [
+            i_representation(transitive),
+            c_representation(transitive, UNIT_C),
+            twist(c_representation(transitive, UNIT_C)),
+            constant_structure(n, GaussianScalar.exact(rational("2/7"))),
+            # labels over 5 * 7 * 11 * 13
+            apply_selector(
+                c_representation(transitive, UNIT_C),
+                Selector.constant(n, GaussianScalar.exact(1), rational("1/1001")),
+            ),
+        ]
+        out += positives
+        out += [_with_one_pair_changed(r, g) for g in positives for _ in range(2)]
+        out += [
+            _integral_hermitian(r, n),
+            i_representation(genutil.random_tournament(r, n)),
+            twist(c_representation(genutil.random_tournament(r, n), UNIT_C)),
+            genutil.random_unit_hermitian(r, n),
+            genutil.random_coprime_hermitian(r, n),
+            genutil.random_hermitian(r, n),
+        ]
+    out.append(_with_one_pair_changed(r, dominated_paley_seven()))
+    return out
+
+
+class TestJacobiRoute:
+    """Large k in exact mode: after a direct prefix, subsets are compared
+    through complementary minors of adj(x I - A). Every report field must
+    be what the colex loop of char_poly(substructure(g, s)) gives."""
+
+    def test_matches_direct_colex_loop(self):
+        routed_positives = routed_negatives = 0
+        for g in _jacobi_structures():
+            profile = monomorphy_profile(g)
+            for k in _jacobi_ks(g.n):
+                polys, witness, checked, fragile = _substructure_enumeration(g, k)
+                for report in (is_k_spectrally_monomorphic(g, k), profile[k]):
+                    assert report.k == k
+                    assert report.monomorphic == (witness is None)
+                    assert report.witness == witness
+                    assert report.subsets_checked == checked
+                    assert report.fragile is False
+                    if witness is None:
+                        assert report.common_poly == polys[0]
+                        assert report.witness_polys is None
+                    else:
+                        assert report.common_poly is None
+                        assert report.witness_polys == polys
+                if checked > monomorphy._direct_count(g.n, k):
+                    if witness is None:
+                        routed_positives += 1
+                    else:
+                        routed_negatives += 1
+        # both outcomes of the route are exercised, not only the prefix
+        assert routed_positives >= 40
+        assert routed_negatives >= 20
+
+    def test_witness_found_in_the_prefix_builds_no_adjugate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(monomorphy, "_adjugates", lambda a, count: calls.append(count))
+        g = genutil.random_hermitian(genutil.rng(62), 9)
+        report = is_k_spectrally_monomorphic(g, 7)
+        assert report.subsets_checked == 2
+        assert calls == []
+
+    def test_profile_builds_one_label_matrix_and_one_adjugate(self, monkeypatch):
+        matrices, adjugates = [], []
+        label_matrix, build = monomorphy._label_matrix, monomorphy._adjugates
+
+        def counting_matrix(g):
+            matrices.append(g.n)
+            return label_matrix(g)
+
+        def counting_build(a, count):
+            adjugates.append(count)
+            return build(a, count)
+
+        monkeypatch.setattr(monomorphy, "_label_matrix", counting_matrix)
+        monkeypatch.setattr(monomorphy, "_adjugates", counting_build)
+        profile = monomorphy_profile(i_representation(hat(paley_tournament(11))))
+        assert [k for k in range(1, 13) if profile[k].monomorphic] == [1, 2, 3, 9, 10, 11, 12]
+        assert matrices == [12]
+        assert adjugates == [11]
+
+    def test_reference_minors_are_checked_against_the_reference_poly(self, monkeypatch):
+        """Points misreported by one leave every subset's minors alike; only
+        the reference check sees that they no longer match its polynomial."""
+        build = monomorphy._adjugates
+
+        def shifted(a, count):
+            poly, points, values, adjugates = build(a, count)
+            return poly, [x + 1 for x in points], values, adjugates
+
+        monkeypatch.setattr(monomorphy, "_adjugates", shifted)
+        g = dominated_paley_seven()
+        for k in (5, 6, 7):
+            with pytest.raises(InvariantError):
+                is_k_spectrally_monomorphic(g, k)
+        with pytest.raises(InvariantError):
+            monomorphy_profile(g)
+
+    def test_differing_minors_with_equal_polys_are_an_invariant_error(self, monkeypatch):
+        """A subset whose minors differ from the reference's while its
+        polynomial does not is a broken route, never a witness."""
+        minors = monomorphy._complementary_minors
+
+        def corrupted(adjugates, n, t, count):
+            values = minors(adjugates, n, t, count)
+            return [v + 1 for v in values] if 0 in t else values
+
+        monkeypatch.setattr(monomorphy, "_complementary_minors", corrupted)
+        g = dominated_paley_seven()
+        for k in (5, 6, 7):
+            with pytest.raises(InvariantError):
+                is_k_spectrally_monomorphic(g, k)
+
+    def test_approx_mode_stays_direct(self, monkeypatch):
+        monkeypatch.setattr(monomorphy, "_adjugates", None)
+        g = genutil.approx_copy(dominated_paley_seven())
+        report = is_k_spectrally_monomorphic(g, 7)
+        assert report.monomorphic and report.subsets_checked == 8
