@@ -230,10 +230,11 @@ def _recurrence(a, mode, points=()):
 
     Exact mode: a Hermitian Gaussian-integer matrix has an integer
     characteristic polynomial, so every trace is real and every division
-    by k is exact; both are checked. Approx mode: a trace that overflowed
-    floats is an InputError, the trace must be real within eps and
-    c_k = -trace / k. The last product is only needed for its trace, so
-    only its diagonal is formed.
+    by k is exact; both are checked. Approx mode: c_k = -trace / k, and a
+    trace that overflowed floats or is not real within eps is an
+    InputError, since rounding in the powers of valid Hermitian input can
+    outgrow a real part that cancels. The last product is only needed for
+    its trace, so only its diagonal is formed.
 
     For each integer x in points (exact mode) the same pass also returns
     adj(xI - A) = x^(n-1) I + x^(n-2) N_1 + ... + N_(n-1), accumulated by
@@ -260,6 +261,11 @@ def _recurrence(a, mode, points=()):
             )
         # the literal test spares the exact path a call per coefficient
         if tr_im != 0 and not negligible(tr_im, tr_re, mode):
+            if mode == APPROX:
+                raise InputError(
+                    "approx labels lost precision: a trace of a power of the "
+                    "label matrix is not real within eps; use exact labels"
+                )
             raise InvariantError("trace of a Hermitian power must be real")
         if mode == EXACT:
             ck, r = divmod(-tr_re, k)
@@ -295,15 +301,20 @@ def _recurrence(a, mode, points=()):
     return descending, adjugates
 
 
-def _matrix_char_poly(a, d):
-    """Characteristic polynomial of a matrix (A, D) in _label_matrix form:
-    the recurrence on A, with descending coefficient j of P_A divided by
-    D^j in exact mode, since P_M(x) = D^-n P_A(D x)."""
-    mode = APPROX if d is None else EXACT
-    descending, _ = _recurrence(a, mode)
-    if mode == EXACT and d != 1:
+def _polynomial(descending, d):
+    """P_M as a RealPolynomial from the descending coefficients of P_A that
+    _recurrence returns for a matrix (A, D) in _label_matrix form: in exact
+    mode coefficient j is divided by D^j, since P_M(x) = D^-n P_A(D x)."""
+    if d is None:
+        return RealPolynomial(descending[::-1], APPROX)
+    if d != 1:
         descending = [rational(c) / d**j for j, c in enumerate(descending)]
-    return RealPolynomial(descending[::-1], mode)
+    return RealPolynomial(descending[::-1], EXACT)
+
+
+def _matrix_char_poly(a, d):
+    """Characteristic polynomial of a matrix (A, D) in _label_matrix form."""
+    return _polynomial(_recurrence(a, APPROX if d is None else EXACT)[0], d)
 
 
 def _adjugates(a, count):
@@ -458,16 +469,21 @@ def determinant(g):
     if not isinstance(g, HermitianStructure):
         raise InputError("determinant takes a HermitianStructure")
     re, im = _determinant_components(g)
-    n = g.n
     p0 = char_poly(g).coefficients[0]
+    return GaussianScalar(_cross_checked(re, im, p0, g.n, g.mode), 0, g.mode)
+
+
+def _cross_checked(re, im, p0, n, mode):
+    """The elimination determinant re + i im of an order-n Hermitian
+    matrix, once it is real and equals (-1)^n P(0) from the recurrence."""
     expected = p0 if n % 2 == 0 else -p0
-    if not negligible(im, re, g.mode):
+    if not negligible(im, re, mode):
         raise InvariantError("determinant of a Hermitian matrix must be real")
-    if not close(re, expected, g.mode):
+    if not close(re, expected, mode):
         raise InvariantError(
             f"determinant routes disagree: elimination {re}, recurrence {expected}"
         )
-    return GaussianScalar(re, 0, g.mode)
+    return re
 
 
 def _subset_determinant(m, subset, mode):

@@ -29,10 +29,17 @@ from .core import (
     descending_score_order,
     is_transitive,
     pair_product,
-    substructure,
+    substructure,  # noqa: F401 - not called here; bench/tracing.py rebinds it
     transitive_tournament,
 )
-from .charpoly import _label_components, determinant
+from .charpoly import (
+    _cross_checked,
+    _det_exact,
+    _label_components,
+    _label_matrix,
+    _principal_submatrix,
+    _recurrence,
+)
 from .constructions import DrtCertificate, is_doubly_regular
 from .errors import (
     InputError,
@@ -293,10 +300,18 @@ def _negative(g, k, reason, pair=None, degenerate=False):
     theorems' hypotheses (zero or unequal-modulus labels), and enumeration
     may or may not find a witness there: the all-zero structure is
     spectrally constant at every k, yet still lands outside every
-    characterized class.
+    characterized class. In approx mode the reduction's label tests and
+    the enumeration's coefficient tests use different tolerances, so there
+    a disagreement is _too_close input rather than a broken invariant.
     """
     report = is_k_spectrally_monomorphic(g, k)
     if report.monomorphic and not degenerate:
+        if g.mode != EXACT:
+            raise _too_close(
+                f"all {report.subsets_checked} {k}-subset polynomials agree, yet "
+                f"the labels rule out k={k} monomorphy ({reason}): they miss "
+                "its canonical form"
+            )
         raise InvariantError(
             f"classifier ruled out k={k} monomorphy but enumeration found "
             f"all {report.subsets_checked} subsets in agreement"
@@ -497,16 +512,24 @@ def c3_via_determinants(g, x1, x, y):
             raise InputError(f"vertex {x1} does not dominate vertex {v}")
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
+    # both routes run on slices of one integer matrix A = d * M, so each
+    # 4 x 4 determinant of M is theirs divided by d^4
+    a, d = _label_matrix(g)
+    scale = rational(d) ** 4
     unit = rational(1) / (msq * msq)
     total = rational(0)
     for z in range(n):
         if z in names:
             continue
-        det = determinant(substructure(g, (x1, x, y, z)))
-        scaled = det.re * unit
+        sub = _principal_submatrix(a, (x1, x, y, z))
+        re, im = _det_exact(sub, 4)
+        p0 = _recurrence(sub, EXACT)[0][-1]
+        det = _cross_checked(re / scale, im / scale, p0 / scale, 4, EXACT)
+        scaled = det * unit
         if scaled not in (rational(1), rational(9)):
             raise InvariantError(
-                f"4-subset determinant {det.to_text()} is not m^4 or 9 m^4"
+                f"4-subset determinant {GaussianScalar(det, 0, EXACT).to_text()} "
+                "is not m^4 or 9 m^4"
             )
         total += scaled
     count = (total - (n - 3)) / 8

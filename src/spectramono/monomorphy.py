@@ -19,8 +19,9 @@ from .charpoly import (
     _complementary_minors,
     _label_components,
     _label_matrix,
-    _matrix_char_poly,
+    _polynomial,
     _principal_submatrix,
+    _recurrence,
     _subset_determinant,
     char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
 )
@@ -75,9 +76,9 @@ def is_k_spectrally_monomorphic(g, k):
     k must satisfy 1 <= k <= n; larger k has no substructures to compare and
     is rejected rather than treated as vacuously true. The label matrix is
     built once and each subset's polynomial comes from its principal
-    submatrix, the same computation char_poly(substructure(g, subset)) does,
-    or, for large k in exact mode, from Jacobi's complementary minors (see
-    _enumerate).
+    submatrix, the same computation char_poly(substructure(g, subset)) does.
+    In exact mode subsets with equal submatrices share one recurrence, and
+    large k goes through Jacobi's complementary minors (see _enumerate).
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("is_k_spectrally_monomorphic takes a HermitianStructure")
@@ -105,9 +106,23 @@ def _negative_report(k, reference_subset, subset, reference_poly, poly, checked,
     )
 
 
+# entries of the per-call content memo of _enumerate
+_MEMO_BOUND = 1024
+
+
 def _enumerate(m, d, k, adjugates):
     """MonomorphyReport for the k-subsets of the (A, D) matrix m of
     _label_matrix, in colex order.
+
+    Exact mode compares the integer coefficient lists that _recurrence
+    gives for the submatrices A[S]: with one D and one k, P_A[S] = P_A[T]
+    exactly when P_M[S] = P_M[T]. A per-call memo maps the strict upper
+    triangle of A[S], which fixes the Hermitian zero-diagonal A[S], to its
+    list, so each distinct submatrix is sliced and reduced once, checks
+    included. The memo takes at most 1024 entries (_MEMO_BOUND) and then
+    inserts nothing more, so its size does not grow with C(n, k). Only
+    the reference, the witness and common_poly become RealPolynomials.
+    Approx mode (see _enumerate_approx) takes no memo.
 
     In exact mode with n - k <= 3 and 2k > n, the subsets after the first
     _direct_count(n, k) are compared through the complementary minors of
@@ -122,26 +137,36 @@ def _enumerate(m, d, k, adjugates):
     InvariantError, so the two routes check each other.
     """
     n = len(m)
-    mode = APPROX if d is None else EXACT
     subsets = colex_subsets(n, k)
-    jacobi = mode == EXACT and n - k <= 3 and 2 * k > n
+    if d is None:
+        return _enumerate_approx(m, k, subsets)
+    jacobi = n - k <= 3 and 2 * k > n
+    memo = {}
     reference_subset = None
-    reference_poly = None
+    reference = None
     checked = 0
-    fragile_any = False
     for subset in islice(subsets, _direct_count(n, k) if jacobi else None):
         checked += 1
-        poly = _matrix_char_poly(_principal_submatrix(m, subset), d)
-        if reference_poly is None:
+        key = tuple([m[a][b] for i, a in enumerate(subset) for b in subset[i + 1 :]])
+        coefficients = memo.get(key)
+        if coefficients is None:
+            coefficients, _ = _recurrence(_principal_submatrix(m, subset), EXACT)
+            if len(memo) < _MEMO_BOUND:
+                memo[key] = coefficients
+        if reference is None:
             reference_subset = subset
-            reference_poly = poly
-            continue
-        equal, fragile = _compare_polys(reference_poly, poly, mode)
-        fragile_any = fragile_any or fragile
-        if not equal:
+            reference = coefficients
+        elif coefficients != reference:
             return _negative_report(
-                k, reference_subset, subset, reference_poly, poly, checked, fragile_any
+                k,
+                reference_subset,
+                subset,
+                _polynomial(reference, d),
+                _polynomial(coefficients, d),
+                checked,
+                False,
             )
+    reference_poly = _polynomial(reference, d)
     # colex order on k-subsets is reverse colex order on their complements
     complements = list(colex_subsets(n, n - k))[::-1] if jacobi else ()
     if checked < len(complements):
@@ -161,7 +186,8 @@ def _enumerate(m, d, k, adjugates):
             if _complementary_minors(adj, n, t, k) == reference_minors:
                 continue
             subset = tuple(v for v in range(n) if v not in t)
-            poly = _matrix_char_poly(_principal_submatrix(m, subset), d)
+            descending, _ = _recurrence(_principal_submatrix(m, subset), EXACT)
+            poly = _polynomial(descending, d)
             if poly == reference_poly:
                 raise InvariantError(
                     f"complementary minors of {subset} differ from the reference, "
@@ -169,6 +195,33 @@ def _enumerate(m, d, k, adjugates):
                 )
             return _negative_report(
                 k, reference_subset, subset, reference_poly, poly, checked, False
+            )
+    return MonomorphyReport(
+        k=k, monomorphic=True, common_poly=reference_poly, subsets_checked=checked
+    )
+
+
+def _enumerate_approx(m, k, subsets):
+    """_enumerate for float pairs: every subset gets its own polynomial,
+    compared by _compare_polys so that fragile is reported. No memo: float
+    keys would equate -0.0 with 0.0, whose polynomials print differently."""
+    reference_subset = None
+    reference_poly = None
+    checked = 0
+    fragile_any = False
+    for subset in subsets:
+        checked += 1
+        descending, _ = _recurrence(_principal_submatrix(m, subset), APPROX)
+        poly = _polynomial(descending, None)
+        if reference_poly is None:
+            reference_subset = subset
+            reference_poly = poly
+            continue
+        equal, fragile = _compare_polys(reference_poly, poly, APPROX)
+        fragile_any = fragile_any or fragile
+        if not equal:
+            return _negative_report(
+                k, reference_subset, subset, reference_poly, poly, checked, fragile_any
             )
     return MonomorphyReport(
         k=k,

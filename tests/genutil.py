@@ -125,25 +125,32 @@ def permuted(g, perm):
     return HermitianStructure([[g.labels[a][b] for b in perm] for a in perm])
 
 
-def jittered_c_representations(count=119, seed=6, amplitude=3e-10):
+def jittered_c_representations(
+    count=119,
+    seed=6,
+    amplitude=3e-10,
+    n=6,
+    label=GaussianScalar.exact(rational("3/5"), rational("4/5")),
+    pool=UNIT_POOL,
+):
     """Pairs (g, h): g an exact c-representation and h a jittered approx
-    copy of it. g is a c-representation of a random 6-vertex tournament
-    with label 3/5+4/5i, twisted by a random unit selector; h moves every
-    label component of g above the diagonal uniformly within +-amplitude
-    (the labels below it stay the conjugates). At the default amplitude,
-    under a third of eps, some sit where the canonical reduction accepts
-    each phase while its selector misses the input by more than eps."""
+    copy of it. g is a c-representation of a random n-vertex tournament
+    with the given label, twisted by a selector with values drawn from
+    pool; h moves every label component of g above the diagonal uniformly
+    within +-amplitude (the labels below it stay the conjugates). At the
+    default amplitude, under a third of eps, some sit where the canonical
+    reduction accepts each phase while its selector misses the input by
+    more than eps."""
     from spectramono.core import apply_selector, c_representation
 
     r = rng(seed)
-    label = GaussianScalar.exact(rational("3/5"), rational("4/5"))
     out = []
     for _ in range(count):
-        g = c_representation(random_tournament(r, 6), label)
-        g = apply_selector(g, random_unit_selector(r, 6))
+        g = c_representation(random_tournament(r, n), label)
+        g = apply_selector(g, Selector([r.choice(pool) for _ in range(n)]))
         rows = [list(row) for row in approx_copy(g).labels]
-        for x in range(6):
-            for y in range(x + 1, 6):
+        for x in range(n):
+            for y in range(x + 1, n):
                 e = rows[x][y]
                 z = GaussianScalar.approx(
                     e.re + r.uniform(-amplitude, amplitude),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import genutil
 from spectramono.charpoly import (
     RealPolynomial,
+    _recurrence,
     char_poly,
     determinant,
     poly_x_squared_minus,
@@ -23,7 +24,7 @@ from spectramono.core import (
     substructure,
     transitive_tournament,
 )
-from spectramono.errors import InputError, ModeMixError
+from spectramono.errors import InputError, InvariantError, ModeMixError
 from spectramono.monomorphy import is_k_spectrally_monomorphic
 from spectramono.scalars import APPROX, EXACT, GaussianScalar, close, rational
 
@@ -151,6 +152,32 @@ class TestCharPoly:
         for route in (char_poly, determinant, lambda g: is_k_spectrally_monomorphic(g, 3)):
             with pytest.raises(InputError, match="overflow"):
                 route(g)
+
+    def test_approx_precision_loss_is_an_input_error(self):
+        """Float copies of twisted constant structures on 12 vertices are
+        valid input whose matrix powers outgrow float precision: a trace
+        whose real part cancels keeps an imaginary rounding error above eps.
+        That is refused as input, never reported as a broken invariant."""
+        value = GaussianScalar.exact(rational("3/4"))
+        refused = 0
+        for s in range(20):
+            selector = genutil.random_selector(genutil.rng(s), 12)
+            g = genutil.approx_copy(apply_selector(constant_structure(12, value), selector))
+            try:
+                char_poly(g)
+            except InputError as exc:
+                assert "lost precision" in str(exc)
+                refused += 1
+        assert refused > 0
+
+    def test_non_real_trace_is_input_in_approx_mode_only(self):
+        """A trace with an imaginary part: a broken invariant for exact
+        Gaussian integers, lost precision for floats."""
+        for mode, error in ((EXACT, InvariantError), (APPROX, InputError)):
+            one = (1, 1) if mode == EXACT else (1.0, 1.0)
+            zero = (0, 0) if mode == EXACT else (0.0, 0.0)
+            with pytest.raises(error):
+                _recurrence([[zero, one], [one, zero]], mode)
 
 
 class TestDeterminant:

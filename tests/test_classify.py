@@ -23,6 +23,7 @@ from spectramono.classify import (
 )
 from spectramono.constructions import hat, paley_tournament, pair_cycle_counts
 from spectramono.core import (
+    ConstantRepresentationWarning,
     HermitianStructure,
     Selector,
     Tournament,
@@ -412,6 +413,36 @@ class TestC3ViaDeterminants:
         assert g.label(0, 1) == GaussianScalar.exact(0, 4)
         assert c3_via_determinants(g, 0, 1, 2) == 2
 
+    def test_fractional_labels(self):
+        """Labels i/4: the route clears the denominator 4 once and divides
+        each 4 x 4 determinant by 4^4 again."""
+        t = hat(paley_tournament(7))
+        quarter = Selector.constant(8, GaussianScalar.exact("1/2"))
+        g = apply_selector(i_representation(t), quarter)
+        assert g.label(0, 1) == GaussianScalar.exact(0, "1/4")
+        assert c3_via_determinants(g, 0, 1, 2) == 2
+        assert c3_via_determinants(g, 0, 3, 7) == 2
+
+    def test_both_routes_are_checked_on_every_subset(self, monkeypatch):
+        """Elimination and the recurrence's P(0) must agree, and the
+        elimination determinant must be real, on each 4-subset."""
+        g = i_representation(hat(paley_tournament(7)))
+        recurrence, det_exact = classify._recurrence, classify._det_exact
+
+        def shifted_constant_term(a, mode, points=()):
+            descending, adjugates = recurrence(a, mode, points)
+            return descending[:-1] + [descending[-1] + 1], adjugates
+
+        monkeypatch.setattr(classify, "_recurrence", shifted_constant_term)
+        with pytest.raises(InvariantError, match="routes disagree"):
+            c3_via_determinants(g, 0, 1, 2)
+        monkeypatch.setattr(classify, "_recurrence", recurrence)
+        monkeypatch.setattr(
+            classify, "_det_exact", lambda a, n: (det_exact(a, n)[0], rational(1))
+        )
+        with pytest.raises(InvariantError, match="must be real"):
+            c3_via_determinants(g, 0, 1, 2)
+
     def test_requires_dominating_vertex(self):
         g = i_representation(hat(paley_tournament(7)))
         with pytest.raises(InputError):
@@ -483,6 +514,28 @@ class TestApproxClassifyK3:
                     reproduced = apply_selector(approx.canonical, approx.witness_selector)
                     assert reproduced == h
         assert verdicts + errors == 2 * 119
+
+    def test_jittered_constant_labels_never_break_an_invariant(self):
+        """Jittered float copies of twisted constant structures (label 1)
+        can pass the enumeration's coefficient tests at every k while the
+        reduction's label tests rule monomorphy out. At k = 3, 4 and n - 3
+        that is an InputError for labels too close to the tolerance, never
+        an InvariantError."""
+        disagreements = 0
+        for n in (7, 8):
+            for amplitude in (1e-10, 3e-10, 1e-9, 2e-9):
+                with pytest.warns(ConstantRepresentationWarning):
+                    pairs = genutil.jittered_c_representations(
+                        count=40, amplitude=amplitude, n=n, label=GaussianScalar.exact(1)
+                    )
+                for _, h in pairs:
+                    for classify_ in (classify_k3, classify_k4, classify_n_minus_3):
+                        try:
+                            classify_(h)
+                        except InputError as exc:
+                            assert "too close to the tolerance" in str(exc)
+                            disagreements += "polynomials agree" in str(exc)
+        assert disagreements > 0
 
 
 SHAPES = ("random", "transitive", "hat", "hat_paley7")

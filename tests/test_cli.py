@@ -26,7 +26,9 @@ from spectramono.constructions import (
 )
 from spectramono.core import (
     Tournament,
+    apply_selector,
     c_representation,
+    constant_structure,
     i_representation,
     transitive_tournament,
 )
@@ -559,3 +561,21 @@ class TestJitteredApproxReduction:
                 assert code in (0, 1, 2, 3), report
                 if code == 2:
                     assert report["error"]["kind"] == "input"
+
+
+def test_approx_precision_loss_exits_as_input(tmp_path, capsys):
+    """check --k 12 on float copies of twisted constant structures either
+    reports a verdict or exits 2 with an input error, never a traceback."""
+    value = GaussianScalar.exact("3/4")
+    refused = 0
+    for s in range(20):
+        selector = genutil.random_selector(genutil.rng(s), 12)
+        g = genutil.approx_copy(apply_selector(constant_structure(12, value), selector))
+        path = write_doc(tmp_path, f"c{s}.json", g)
+        code, report = run(capsys, "check", "--input", path, "--k", "12")
+        assert code in (0, 2), report
+        if code == 2:
+            assert report["error"]["kind"] == "input"
+            assert "lost precision" in report["error"]["message"]
+            refused += 1
+    assert refused > 0

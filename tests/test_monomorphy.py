@@ -149,11 +149,27 @@ def _substructure_enumeration(g, k):
     return (polys[0],), None, len(subsets), fragile_any
 
 
-def test_enumeration_matches_char_poly_of_substructures():
-    """The enumeration slices one label matrix per structure; it must report
-    what char_poly of each substructure reports, coefficient for
-    coefficient, on integral, rational and approx labels."""
+def _counting_recurrence(monkeypatch):
+    """Route monomorphy's recurrence through a wrapper; the returned list
+    collects the order of every matrix it reduces."""
+    calls = []
+    recurrence = monomorphy._recurrence
+
+    def counting(a, mode, points=()):
+        calls.append(len(a))
+        return recurrence(a, mode, points)
+
+    monkeypatch.setattr(monomorphy, "_recurrence", counting)
+    return calls
+
+
+def test_enumeration_matches_char_poly_of_substructures(monkeypatch):
+    """The enumeration slices one label matrix per structure and reduces
+    each distinct submatrix once; it must report what char_poly of each
+    substructure reports, coefficient for coefficient, on integral,
+    rational and approx labels, with and without repeated submatrices."""
     r = genutil.rng(25)
+    calls = _counting_recurrence(monkeypatch)
 
     def integral(r, n):
         return i_representation(genutil.random_tournament(r, n))
@@ -164,19 +180,33 @@ def test_enumeration_matches_char_poly_of_substructures():
             [[GaussianScalar.approx(float(e.re), float(e.im)) for e in row] for row in labels]
         )
 
+    def constant(r, n):
+        return constant_structure(n, GaussianScalar.exact(genutil.random_rational(r)))
+
+    def changed_i_representation(r, n):
+        return _with_one_pair_changed(r, integral(r, n))
+
+    def changed_constant(r, n):
+        return _with_one_pair_changed(r, constant(r, n))
+
     families = (
         integral,
         genutil.random_hermitian,
         genutil.random_coprime_hermitian,
         approx,
+        constant,
+        changed_i_representation,
+        changed_constant,
     )
     seen_modes = set()
+    negatives_after_hits = 0
     for family in families:
-        for _ in range(6):
+        for _ in range(12):
             n = r.randrange(2, 8)
             g = family(r, n)
             seen_modes.add(g.mode)
             for k in range(1, n + 1):
+                calls.clear()
                 report = is_k_spectrally_monomorphic(g, k)
                 polys, witness, checked, fragile = _substructure_enumeration(g, k)
                 got = (report.common_poly,) if report.monomorphic else report.witness_polys
@@ -184,7 +214,62 @@ def test_enumeration_matches_char_poly_of_substructures():
                 assert report.witness == witness
                 assert report.subsets_checked == checked
                 assert report.fragile == fragile
+                if witness is not None and len(calls) < checked:
+                    negatives_after_hits += 1
     assert seen_modes == {EXACT, APPROX}
+    # witnesses found after memo hits, not only on the first few subsets
+    assert negatives_after_hits >= 20
+
+
+class TestContentMemo:
+    """Exact enumeration reduces each distinct submatrix once per call."""
+
+    def test_i_representation_runs_at_most_eight_recurrences(self, monkeypatch):
+        """3-subsets of an i-representation carry three labels +-i, so at
+        most 8 distinct submatrices occur among the 20 subsets of 6."""
+        calls = _counting_recurrence(monkeypatch)
+        r = genutil.rng(71)
+        for _ in range(20):
+            calls.clear()
+            report = is_k_spectrally_monomorphic(
+                i_representation(genutil.random_tournament(r, 6)), 3
+            )
+            assert report.monomorphic and report.subsets_checked == 20
+            assert 1 <= len(calls) <= 8
+
+    def test_approx_mode_runs_one_recurrence_per_subset(self, monkeypatch):
+        calls = _counting_recurrence(monkeypatch)
+        g = genutil.approx_copy(i_representation(genutil.random_tournament(genutil.rng(72), 6)))
+        report = is_k_spectrally_monomorphic(g, 3)
+        assert report.monomorphic and report.subsets_checked == 20
+        assert calls == [3] * 20
+
+    def test_memo_stops_inserting_at_its_bound(self, monkeypatch):
+        """Pair subsets in colex order: the first bound + 1 carry distinct
+        entries, the next repeats the last of those, and all later ones
+        repeat the first. The memo holds the first bound entries only, so
+        the repeat of an entry seen after it filled is reduced again, and
+        the repeats of the first entry never are."""
+        bound = monomorphy._MEMO_BOUND
+        calls = []
+
+        def constant_recurrence(a, mode, points=()):
+            calls.append(a[0][1])
+            return [1, 0, -1], []
+
+        monkeypatch.setattr(monomorphy, "_recurrence", constant_recurrence)
+        n = 2
+        while n * (n - 1) // 2 < bound + 40:
+            n += 1
+        m = [[(0, 0)] * n for _ in range(n)]
+        for index, (a, b) in enumerate(colex_subsets(n, 2)):
+            value = index if index <= bound else bound if index == bound + 1 else 0
+            m[a][b] = m[b][a] = (value, 0)
+        report = monomorphy._enumerate(m, 1, 2, None)
+        assert report.monomorphic
+        assert report.subsets_checked == n * (n - 1) // 2
+        assert report.common_poly == RealPolynomial([-1, 0, 1], EXACT)
+        assert calls == [(v, 0) for v in range(bound + 1)] + [(bound, 0)]
 
 
 def test_downward_transfer():
