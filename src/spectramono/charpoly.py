@@ -9,9 +9,10 @@ Gaussian-integer matrix, its recurrence divides only exactly, and
 P_M(x) = D^-n * P_A(D * x). In approx mode the pairs are floats and each
 coefficient is checked and formed within the tolerance of scalars.
 Enumerations slice principal submatrices of one such matrix instead of
-building substructures. Determinants come from an independent elimination
-so the identity P(0) = (-1)^n det M is a genuine cross-check rather than a
-tautology.
+building substructures. Determinants come from an independent elimination,
+fraction-free Bareiss elimination over the Gaussian integers in exact mode
+(det M = det A / D^n), so the identity P(0) = (-1)^n det M is a genuine
+cross-check rather than a tautology.
 
 In exact mode the same recurrence pass can also accumulate the adjugates
 adj(x_j I - A) at integer points x_j above the spectrum of A. Jacobi's
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .combinat import colex_subsets
-from .core import HermitianStructure, clear_denominators
+from .core import HermitianStructure, _descaled, _label_matrix
 from .errors import InputError, InvariantError, ModeMixError
 from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, negligible, rational
 
@@ -178,38 +179,6 @@ def poly_x_squared_minus(constant, mode=EXACT):
     return RealPolynomial([-float(constant), 0.0, 1.0], APPROX)
 
 
-def _label_components(g):
-    """Matrix of (re, im) component pairs, plus a flag for the all-integer
-    case. The pairs are floats in approx mode."""
-    pairs = [[(e.re, e.im) for e in row] for row in g.labels]
-    if g.mode == APPROX:
-        return pairs, False
-    integral = all(
-        re.denominator == 1 and im.denominator == 1
-        for row in pairs
-        for re, im in row
-    )
-    if integral:
-        return [[(int(re), int(im)) for re, im in row] for row in pairs], True
-    return pairs, False
-
-
-def _label_matrix(g):
-    """The label matrix of g as the char-poly kernel takes it: (entries, D).
-
-    Exact mode gives a Gaussian-integer matrix A of (re, im) int pairs and
-    the positive int D, the lcm of every component denominator, so that
-    M = A / D; D is 1 for integral labels. Approx mode gives float pairs
-    and D = None.
-    """
-    m, integral = _label_components(g)
-    if g.mode == APPROX:
-        return m, None
-    if integral:
-        return m, 1
-    return clear_denominators(m)
-
-
 def _principal_submatrix(m, vertices):
     return [[m[a][b] for b in vertices] for a in vertices]
 
@@ -305,11 +274,8 @@ def _polynomial(descending, d):
     """P_M as a RealPolynomial from the descending coefficients of P_A that
     _recurrence returns for a matrix (A, D) in _label_matrix form: in exact
     mode coefficient j is divided by D^j, since P_M(x) = D^-n P_A(D x)."""
-    if d is None:
-        return RealPolynomial(descending[::-1], APPROX)
-    if d != 1:
-        descending = [rational(c) / d**j for j, c in enumerate(descending)]
-    return RealPolynomial(descending[::-1], EXACT)
+    coefficients = [_descaled(c, d, j) for j, c in enumerate(descending)]
+    return RealPolynomial(coefficients[::-1], APPROX if d is None else EXACT)
 
 
 def _matrix_char_poly(a, d):
@@ -392,40 +358,46 @@ def char_poly(g):
     return _matrix_char_poly(*_label_matrix(g))
 
 
-def _det_exact(pairs, n):
-    """Determinant of a matrix of (re, im) rational or integer pairs by
-    Gaussian elimination with exact division."""
-    a = [[(rational(re), rational(im)) for re, im in row] for row in pairs]
+def _det_exact(a, n):
+    """Determinant of a matrix of Gaussian-integer (re, im) pairs by
+    fraction-free Bareiss elimination (Bareiss 1968, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination"). After step k
+    each remaining entry is a minor of order k + 2 of the row-permuted
+    matrix, so its division by the previous pivot is exact in Z[i]; that is
+    checked. Rows are swapped to the first nonzero pivot, which the zero
+    diagonal of a label matrix always forces at the first step."""
+    a = [list(row) for row in a]
     sign = 1
-    det_re, det_im = rational(1), rational(0)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            re, im = a[r][col]
-            if re != 0 or im != 0:
-                pivot = r
-                break
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
         if pivot is None:
-            return rational(0), rational(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+            return 0, 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        pre, pim = a[col][col]
-        det_re, det_im = det_re * pre - det_im * pim, det_re * pim + det_im * pre
-        norm = pre * pre + pim * pim
-        inv = (pre / norm, -pim / norm)
-        for r in range(col + 1, n):
-            fre, fim = a[r][col]
-            if fre == 0 and fim == 0:
-                continue
-            fre, fim = fre * inv[0] - fim * inv[1], fre * inv[1] + fim * inv[0]
-            for c in range(col, n):
-                bre, bim = a[col][c]
-                cre, cim = a[r][c]
-                a[r][c] = (cre - (fre * bre - fim * bim), cim - (fre * bim + fim * bre))
-    if sign < 0:
-        det_re, det_im = -det_re, -det_im
-    return det_re, det_im
+        top = a[k]
+        pre, pim = top[k]
+        for row in a[k + 1 :]:
+            fre, fim = row[k]
+            for c in range(k + 1, n):
+                bre, bim = top[c]
+                cre, cim = row[c]
+                # (pivot * row[c] - row[k] * top[c]) / prev, the division
+                # as a product with conj(prev) over |prev|^2
+                re = pre * cre - pim * cim - fre * bre + fim * bim
+                im = pre * cim + pim * cre - fre * bim - fim * bre
+                if k:
+                    re, im = re * prev_re + im * prev_im, im * prev_re - re * prev_im
+                    re, r_re = divmod(re, norm)
+                    im, r_im = divmod(im, norm)
+                    if r_re or r_im:
+                        raise InvariantError(
+                            "Bareiss division by the previous pivot is not exact"
+                        )
+                row[c] = (re, im)
+        prev_re, prev_im, norm = pre, pim, pre * pre + pim * pim
+    re, im = a[n - 1][n - 1]
+    return sign * re, sign * im
 
 
 def _det_approx(m, n):
@@ -451,26 +423,36 @@ def _det_approx(m, n):
     return det * sign
 
 
-def _determinant_components(g):
-    """(re, im) of det of the label matrix, by elimination only."""
-    m, _ = _label_components(g)
-    if g.mode == APPROX:
-        d = _det_approx(m, g.n)
-        return d.real, d.imag
-    return _det_exact(m, g.n)
+def _minor(a, subset, mode):
+    """(re, im) of the elimination determinant of the principal submatrix on
+    `subset` of a matrix (A, D) in _label_matrix form. Exact mode eliminates
+    on Gaussian integers, so this is D^|subset| times the minor of M, and
+    checks that it is real; approx mode leaves the imaginary rounding to the
+    caller."""
+    sub = _principal_submatrix(a, subset)
+    if mode == APPROX:
+        det = _det_approx(sub, len(subset))
+        return det.real, det.imag
+    re, im = _det_exact(sub, len(subset))
+    if im != 0:
+        raise InvariantError("principal minor of a Hermitian matrix must be real")
+    return re, im
 
 
 def determinant(g):
     """Determinant of the label matrix, a real scalar for Hermitian input.
 
     Computed by elimination and then cross-checked against the independent
-    Faddeev-LeVerrier route through P(0) = (-1)^n det M.
+    Faddeev-LeVerrier route through P(0) = (-1)^n det M, both on the matrix
+    A of _label_matrix; det M = det A / D^n.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("determinant takes a HermitianStructure")
-    re, im = _determinant_components(g)
-    p0 = char_poly(g).coefficients[0]
-    return GaussianScalar(_cross_checked(re, im, p0, g.n, g.mode), 0, g.mode)
+    a, d = _label_matrix(g)
+    re, im = _minor(a, range(g.n), g.mode)
+    p0 = _recurrence(a, g.mode)[0][-1]
+    det = _cross_checked(re, im, p0, g.n, g.mode)
+    return GaussianScalar(_descaled(det, d, g.n), 0, g.mode)
 
 
 def _cross_checked(re, im, p0, n, mode):
@@ -486,18 +468,6 @@ def _cross_checked(re, im, p0, n, mode):
     return re
 
 
-def _subset_determinant(m, subset, mode):
-    """Elimination determinant of the principal submatrix of the
-    _label_components matrix m on `subset`."""
-    sub = _principal_submatrix(m, subset)
-    if mode == APPROX:
-        return _det_approx(sub, len(subset)).real
-    re, im = _det_exact(sub, len(subset))
-    if im != 0:
-        raise InvariantError("principal minor of a Hermitian matrix must be real")
-    return re
-
-
 def principal_minor_sum(g, p):
     """Sum of all p x p principal minors of the label matrix, enumerated in
     colexicographic subset order. This is the enumeration side of the
@@ -509,9 +479,9 @@ def principal_minor_sum(g, p):
         raise InputError("principal_minor_sum takes a HermitianStructure")
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
-    m, _ = _label_components(g)
-    total = sum(_subset_determinant(m, s, g.mode) for s in colex_subsets(g.n, p))
-    return GaussianScalar(total, 0, g.mode)
+    a, d = _label_matrix(g)
+    total = sum(_minor(a, s, g.mode)[0] for s in colex_subsets(g.n, p))
+    return GaussianScalar(_descaled(total, d, p), 0, g.mode)
 
 
 def scaled_poly(poly, s):

@@ -11,8 +11,9 @@ word for it.
 The reduction never needs the (possibly irrational) common modulus m: it
 works with the phase products g(0,u) g(u,v) conj(g(0,v)), whose values
 divided by m^2 are the rescaled phases W(u,v). Those stay inside the exact
-field for exact inputs, and in exact mode the reduction compares the
-products against m^2 W(1,2) directly, without dividing at all.
+field for exact inputs, and in exact mode the reduction forms the products
+on the Gaussian-integer matrix A = D * M of _label_matrix and compares them
+against the product at (1,2) directly, without dividing at all.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     HermitianStructure,
     Selector,
     Tournament,
+    _descaled,
     common_modulus_squared_of_pairs,
     constant_structure,
     descending_score_order,
@@ -35,7 +37,6 @@ from .core import (
 from .charpoly import (
     _cross_checked,
     _det_exact,
-    _label_components,
     _label_matrix,
     _principal_submatrix,
     _recurrence,
@@ -144,13 +145,14 @@ def reduce_to_canonical_labels(g):
     Raises ReductionError when g is not 2-monomorphic with nonzero labels,
     or when some pair's phase product falls outside {gamma, conj(gamma)}.
 
-    The work runs on the (re, im) components of the labels, plain ints when
-    they are all integral. Exact mode never divides by the common modulus
-    squared msq: each phase product is compared against gamma * msq, and the
-    selector d is re-applied as msq^2 * d to the labels msq * gamma and
-    checked against msq^5 * g. Approx mode works on the float components
-    and divides by msq up front. Scalars and structures are built only for
-    the returned CanonicalReduction.
+    The work runs on the (re, im) pairs of _label_matrix. Exact mode takes
+    the Gaussian-integer matrix A = D * M, whose common modulus squared msq
+    is D^2 times that of g, and never divides: the phase products of A are
+    D * msq times the rescaled phases, gamma among them; the selector d is
+    re-applied as msq^2 * d to the labels D * msq * gamma and checked
+    against msq^5 * A. Approx mode works on the float components and
+    divides by msq up front. Scalars and structures are built only for the
+    returned CanonicalReduction, dividing by D * msq.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("reduce_to_canonical_labels takes a HermitianStructure")
@@ -158,17 +160,17 @@ def reduce_to_canonical_labels(g):
     if n < 5:
         raise InputError(f"canonical reduction needs n >= 5, got {n}")
     mode = g.mode
-    m, _ = _label_components(g)
+    m, den = _label_matrix(g)
     try:
         msq = common_modulus_squared_of_pairs(m, mode)
     except NotTwoMonomorphicError as exc:
         raise ReductionError("not_two_monomorphic", str(exc)) from exc
-    # lift is the factor of msq that the phases and gamma carry; s is what
-    # each phase product is multiplied by to carry exactly that factor
+    # the selector carries lift^2 and each phase product is multiplied by s;
+    # the phases and gamma then carry the positive factor shown
     if mode == EXACT:
-        lift, s = msq, 1
+        lift, s, shown = msq, 1, msq * den
     else:
-        lift, s = 1.0, 1.0 / msq
+        lift, s, shown = 1.0, 1.0 / msq, 1.0
 
     phases = {}
     for u in range(1, n):
@@ -182,13 +184,13 @@ def reduce_to_canonical_labels(g):
             raise ReductionError(
                 "phase_outside_pair",
                 f"phase product at pair ({u},{v}) is "
-                f"{_scalar(w, lift, mode).to_text()}, outside "
-                f"{{{_scalar(gamma, lift, mode).to_text()}, "
-                f"{_scalar(gamma_bar, lift, mode).to_text()}}}",
+                f"{_scalar(w, shown, mode).to_text()}, outside "
+                f"{{{_scalar(gamma, shown, mode).to_text()}, "
+                f"{_scalar(gamma_bar, shown, mode).to_text()}}}",
                 pair=(u, v),
             )
 
-    real = _scalar(gamma, lift, mode).is_real()
+    real = _scalar(gamma, shown, mode).is_real()
     if real and mode != EXACT:
         # drop float noise so the constant canonical form is exactly symmetric
         gamma = (gamma[0], 0.0)
@@ -207,7 +209,7 @@ def reduce_to_canonical_labels(g):
     d = _lifted_selector(m, gamma, lift, s)
     _check_reapplied(m, d, rows, gamma, gamma_bar, mode, lift**5)
 
-    gamma_scalar = _scalar(gamma, lift, mode)
+    gamma_scalar = _scalar(gamma, shown, mode)
     if real:
         tournament = transitive_tournament(n)
         canonical = constant_structure(n, gamma_scalar)
@@ -231,7 +233,7 @@ def reduce_to_canonical_labels(g):
             raise
         raise _too_close("the selector values differ in modulus") from None
     return CanonicalReduction(
-        modulus_squared=rational(msq) if mode == EXACT else msq,
+        modulus_squared=_descaled(msq, den, 2),
         gamma=gamma_scalar,
         real=real,
         tournament=tournament,
@@ -499,40 +501,35 @@ def c3_via_determinants(g, x1, x, y):
         isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n for v in names
     ):
         raise InputError(f"need three distinct vertices in range({n}), got {names}")
-    msq = g.common_modulus_squared()
+    # both routes run on slices of the integer matrix A = D * M, whose
+    # common modulus squared is D^2 m^2, so each 4 x 4 determinant of A is
+    # D^4 times that of M and is compared against D^4 m^4 = msq^2
+    a, d = _label_matrix(g)
+    msq = common_modulus_squared_of_pairs(a, EXACT)
     for u in range(n):
         for v in range(u + 1, n):
-            lab = g.label(u, v)
-            if lab.re != 0:
+            if a[u][v][0] != 0:
                 raise InputError(
-                    f"label at ({u},{v}) is {lab.to_text()}, not purely imaginary"
+                    f"label at ({u},{v}) is {g.label(u, v).to_text()}, "
+                    "not purely imaginary"
                 )
     for v in range(n):
-        if v != x1 and g.label(x1, v).im <= 0:
+        if v != x1 and a[x1][v][1] <= 0:
             raise InputError(f"vertex {x1} does not dominate vertex {v}")
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
-    # both routes run on slices of one integer matrix A = d * M, so each
-    # 4 x 4 determinant of M is theirs divided by d^4
-    a, d = _label_matrix(g)
-    scale = rational(d) ** 4
-    unit = rational(1) / (msq * msq)
-    total = rational(0)
+    unit = msq * msq
+    count = 0
     for z in range(n):
         if z in names:
             continue
         sub = _principal_submatrix(a, (x1, x, y, z))
         re, im = _det_exact(sub, 4)
         p0 = _recurrence(sub, EXACT)[0][-1]
-        det = _cross_checked(re / scale, im / scale, p0 / scale, 4, EXACT)
-        scaled = det * unit
-        if scaled not in (rational(1), rational(9)):
-            raise InvariantError(
-                f"4-subset determinant {GaussianScalar(det, 0, EXACT).to_text()} "
-                "is not m^4 or 9 m^4"
-            )
-        total += scaled
-    count = (total - (n - 3)) / 8
-    if count.denominator != 1 or not 0 <= count <= n - 3:
-        raise InvariantError(f"determinant count {count} is not a valid C3 value")
-    return int(count)
+        det = _cross_checked(re, im, p0, 4, EXACT)
+        if det not in (unit, 9 * unit):
+            shown = GaussianScalar(_descaled(det, d, 4), 0, EXACT).to_text()
+            raise InvariantError(f"4-subset determinant {shown} is not m^4 or 9 m^4")
+        # each 9 m^4 adds 8 to the sum over the n - 3 determinants of m^4
+        count += det != unit
+    return count

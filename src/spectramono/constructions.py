@@ -413,7 +413,11 @@ def verify_deletion_spectra(s, max_deletions=3):
     report = validate_sign_matrix(s, "skew_conference")
     if not report.ok:
         raise InputError(f"not a skew conference matrix: {report.detail}")
-    if not isinstance(max_deletions, int) or not 0 <= max_deletions <= 3:
+    if (
+        not isinstance(max_deletions, int)
+        or isinstance(max_deletions, bool)
+        or not 0 <= max_deletions <= 3
+    ):
         raise InputError(f"max_deletions must be 0..3, got {max_deletions!r}")
     n = s.n
     if n % 4 != 0 or n < 8:

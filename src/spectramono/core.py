@@ -86,13 +86,6 @@ class HermitianStructure:
         _check_vertex(self.n, y)
         return self.labels[x][y]
 
-    def off_diagonal(self):
-        """Iterate (x, y, label) over ordered pairs of distinct vertices."""
-        for x in range(self.n):
-            for y in range(self.n):
-                if x != y:
-                    yield x, y, self.labels[x][y]
-
     @classmethod
     def _from_valid_rows(cls, rows, mode):
         """Wrap a tuple of row tuples already known to form a valid label
@@ -111,8 +104,8 @@ class HermitianStructure:
         modulus exactly when all two-vertex substructures share their
         characteristic polynomial.
         """
-        pairs = [[(e.re, e.im) for e in row] for row in self.labels]
-        return common_modulus_squared_of_pairs(pairs, self.mode)
+        a, d = _label_matrix(self)
+        return _descaled(common_modulus_squared_of_pairs(a, self.mode), d, 2)
 
     def __eq__(self, other):
         if not isinstance(other, HermitianStructure):
@@ -136,7 +129,8 @@ class HermitianStructure:
 
 def common_modulus_squared_of_pairs(pairs, mode):
     """HermitianStructure.common_modulus_squared over a square matrix of
-    (re, im) label components, which may be plain ints in exact mode."""
+    (re, im) label components. On the A of _label_matrix it is the int
+    D^2 * |label|^2."""
     n = len(pairs)
     if n < 2:
         raise NotTwoMonomorphicError("no labels on fewer than two vertices")
@@ -167,11 +161,35 @@ def common_modulus_squared_of_pairs(pairs, mode):
     return msq
 
 
+def _label_matrix(g):
+    """The label matrix of g as (re, im) component pairs: (A, D).
+
+    Exact mode gives the Gaussian-integer matrix A of int pairs and the
+    positive int D, the lcm of every label component denominator, so that
+    the labels are A / D; D is 1 for integral labels. Approx mode gives the
+    float components and D = None. Every exact kernel works on A and
+    divides by a power of D only the values it reports.
+    """
+    pairs = [[(e.re, e.im) for e in row] for row in g.labels]
+    if g.mode == APPROX:
+        return pairs, None
+    return clear_denominators(pairs)
+
+
+def _descaled(value, d, p):
+    """value / D^p, exact, for a value of degree p in the entries of the
+    A = D * M of _label_matrix, such as a minor of order p: the value for
+    M. Approx values (d None) pass through."""
+    return value if d is None else ratio(value, d**p)
+
+
 def clear_denominators(pairs):
     """(A, D) for a matrix of exact (re, im) component pairs: D is the lcm of
     every component denominator and A the matrix of Gaussian-integer pairs
     with pairs = A / D. D is 1 when every component is integral."""
     d = math.lcm(*(c.denominator for row in pairs for pair in row for c in pair))
+    if d == 1:
+        return [[(re.numerator, im.numerator) for re, im in row] for row in pairs], 1
     a = [
         [
             (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
@@ -496,7 +514,8 @@ def apply_selector(g, d):
     """g^d with labels scale_sq * d(x) * g(x, y) * conj(d(y)).
 
     Exact mode clears denominators once: the labels become Gaussian
-    integers A over D and the selector values Gaussian integers S over R,
+    integers A over D (_label_matrix) and the selector values Gaussian
+    integers S over R,
     each entry is the integer product S(x) A(x, y) conj(S(y)), and each of
     its components becomes one rational, times scale_sq over R^2 D. Approx
     mode runs the same loop on the float components and multiplies by
@@ -512,11 +531,10 @@ def apply_selector(g, d):
         raise InputError(f"selector covers {d.n} vertices, structure has {g.n}")
     mode = g.mode
     exact = mode == EXACT
-    labels = [[(e.re, e.im) for e in row] for row in g.labels]
+    labels, den = _label_matrix(g)
     values = [(v.re, v.im) for v in d.values]
     scale = d.scale_sq
     if exact:
-        labels, den = clear_denominators(labels)
         (values,), r = clear_denominators([values])
         num = scale.numerator
         den *= r * r * scale.denominator
@@ -585,20 +603,6 @@ def i_representation(t, mode=EXACT):
     return c_representation(t, GaussianScalar.i_unit(mode))
 
 
-def _phase_pairs(g):
-    """(P, f): the label components of g as (re, im) pairs P and a positive
-    real f with g = P * f. Exact mode clears denominators, so P holds
-    Gaussian integers and f = 1/D; approx mode gives the float components
-    and f = 1.0. The phase product g(w,u) g(u,v) conj(g(w,v)), the label of
-    the form normalized at w up to the positive real factor m^3, is then
-    pair_product(P[w][u], P[u][v], P[w][v]) times f^3."""
-    pairs = [[(e.re, e.im) for e in row] for row in g.labels]
-    if g.mode != EXACT:
-        return pairs, 1.0
-    pairs, d = clear_denominators(pairs)
-    return pairs, ratio(1, d)
-
-
 def _finite(pair, mode):
     """pair, checked as GaussianScalar checks approx components, so that a
     phase product that overflows floats stays an input error."""
@@ -641,7 +645,10 @@ def normalize_at(g, w):
     mode = g.mode
     one = GaussianScalar.one(mode)
     zero = GaussianScalar.zero(mode)
-    p, f = _phase_pairs(g)
+    # the phase product g(w,u) g(u,v) conj(g(w,v)) is that of the pairs A
+    # of _label_matrix divided by D^3
+    p, d = _label_matrix(g)
+    f = 1.0 if d is None else ratio(1, d)
     factor = f**3 / m_cubed
     rows = []
     for u in range(g.n):
@@ -711,11 +718,11 @@ def are_equivalent(g, h):
         msq_h = h.common_modulus_squared()
     except NotTwoMonomorphicError as exc:
         return EquivalenceReport(False, reason=f"right structure: {exc}")
-    # exact mode drops the positive factors f^3 of _phase_pairs, which
+    # exact mode drops the positive factors D^-3 of _label_matrix, which
     # change neither the sign nor the realness of p * conj(q)
     mode = g.mode
-    a, _ = _phase_pairs(g)
-    b, _ = _phase_pairs(h)
+    a, _ = _label_matrix(g)
+    b, _ = _label_matrix(h)
     for u in range(1, g.n):
         for v in range(u + 1, g.n):
             pr, pi = _finite(pair_product(a[0][u], a[u][v], a[0][v]), mode)

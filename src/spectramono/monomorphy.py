@@ -17,16 +17,15 @@ from .charpoly import (
     RealPolynomial,
     _adjugates,
     _complementary_minors,
-    _label_components,
     _label_matrix,
+    _minor,
     _polynomial,
     _principal_submatrix,
     _recurrence,
-    _subset_determinant,
     char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
 )
 from .combinat import colex_subsets
-from .core import HermitianStructure, substructure  # noqa: F401 - as char_poly
+from .core import HermitianStructure, _descaled, substructure  # noqa: F401 - as char_poly
 from .errors import InputError, InvariantError
 from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, rational
 
@@ -254,18 +253,24 @@ class DetConstancyReport:
 
 
 def det_constancy(g, p):
-    """Check that all p x p principal minors of g agree, in colex order."""
+    """Check that all p x p principal minors of g agree, in colex order.
+    Exact mode compares the integer minors of the A of _label_matrix, which
+    are D^p times those of M, and divides only the values it reports."""
     if not isinstance(g, HermitianStructure):
         raise InputError("det_constancy takes a HermitianStructure")
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
-    m, _ = _label_components(g)
+    a, d = _label_matrix(g)
+
+    def scalar(value):
+        return GaussianScalar(_descaled(value, d, p), 0, g.mode)
+
     reference_subset = None
     reference = None
     checked = 0
     for subset in colex_subsets(g.n, p):
         checked += 1
-        value = _subset_determinant(m, subset, g.mode)
+        value = _minor(a, subset, g.mode)[0]
         if reference is None:
             reference_subset = subset
             reference = value
@@ -275,17 +280,11 @@ def det_constancy(g, p):
                 p=p,
                 constant=False,
                 witness=(reference_subset, subset),
-                witness_values=(
-                    GaussianScalar(reference, 0, g.mode),
-                    GaussianScalar(value, 0, g.mode),
-                ),
+                witness_values=(scalar(reference), scalar(value)),
                 subsets_checked=checked,
             )
     return DetConstancyReport(
-        p=p,
-        constant=True,
-        value=GaussianScalar(reference, 0, g.mode),
-        subsets_checked=checked,
+        p=p, constant=True, value=scalar(reference), subsets_checked=checked
     )
 
 

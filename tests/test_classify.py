@@ -96,6 +96,7 @@ class TestCanonicalReduction:
             twisted = reduce_to_canonical_labels(apply_selector(base, d))
             assert twisted.tournament == red.tournament
             assert twisted.gamma == red.gamma.scale(d.modulus_squared())
+            assert twisted.modulus_squared == red.modulus_squared * d.modulus_squared() ** 2
 
     def test_real_constant(self):
         g = constant_structure(5, GaussianScalar.exact(-2))
@@ -120,6 +121,7 @@ class TestCanonicalReduction:
         modulus, so only that check can notice it."""
         r = genutil.rng(34)
         t = genutil.random_tournament(r, 6)
+        # integral says whether the labels clear with D == 1
         cases = [
             (i_representation(t), True),  # labels +-i, msq = 1
             (apply_selector(i_representation(t), Selector.constant(6, GaussianScalar.exact(2))), True),
@@ -127,14 +129,14 @@ class TestCanonicalReduction:
             (apply_selector(i_representation(t), Selector.constant(6, GaussianScalar.exact("1/2"))), False),
         ]
         seen = []
-        original_components = classify._label_components
+        original_matrix = classify._label_matrix
 
-        def spy_components(g):
-            m, integral = original_components(g)
-            seen.append(integral)
-            return m, integral
+        def spy_matrix(g):
+            m, d = original_matrix(g)
+            seen.append(d == 1)
+            return m, d
 
-        monkeypatch.setattr(classify, "_label_components", spy_components)
+        monkeypatch.setattr(classify, "_label_matrix", spy_matrix)
         for g, integral in cases:
             red = reduce_to_canonical_labels(g)
             assert apply_selector(red.canonical, red.selector) == g
@@ -154,15 +156,17 @@ class TestCanonicalReduction:
             assert seen.pop() is integral
 
     def test_phase_outside_pair_on_both_component_paths(self, monkeypatch):
+        """The phase text shows the rescaled phases whether the label matrix
+        clears with D == 1 or with D > 1."""
         seen = []
-        original_components = classify._label_components
+        original_matrix = classify._label_matrix
 
-        def spy_components(g):
-            m, integral = original_components(g)
-            seen.append(integral)
-            return m, integral
+        def spy_matrix(g):
+            m, d = original_matrix(g)
+            seen.append(d == 1)
+            return m, d
 
-        monkeypatch.setattr(classify, "_label_components", spy_components)
+        monkeypatch.setattr(classify, "_label_matrix", spy_matrix)
         g = i_representation(transitive_tournament(5))
         integral_bad = relabel(g, (1, 3), GaussianScalar.one())
         half = Selector.constant(5, GaussianScalar.exact("1/2"))
@@ -457,6 +461,69 @@ class TestC3ViaDeterminants:
         g = i_representation(hat(paley_tournament(7)))
         with pytest.raises(InputError):
             c3_via_determinants(g, 0, 1, 1)
+
+
+class TestIntegerKernels:
+    """Rational labels are cleared once into the Gaussian-integer matrix
+    A = D * M, and every exact kernel runs on A: the reduction's phase
+    products and re-application, both elimination routes and the
+    recurrence receive plain ints, never rationals, when D > 1."""
+
+    def _spy(self, monkeypatch, module, name, seen):
+        original = getattr(module, name)
+
+        def spy(*args):
+            seen.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    def _components(self, value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                yield from self._components(item)
+        else:
+            yield value
+
+    def test_exact_kernels_receive_ints(self, monkeypatch):
+        from spectramono import charpoly, monomorphy
+        from spectramono.charpoly import determinant, principal_minor_sum
+        from spectramono.monomorphy import det_constancy
+
+        r = genutil.rng(41)
+        quarter = Selector.constant(6, GaussianScalar.exact("1/2"))
+        structures = [
+            apply_selector(c_representation(transitive_tournament(6), UNIT_C), genutil.random_selector(r, 6)),
+            apply_selector(c_representation(genutil.random_tournament(r, 6), UNIT_C), quarter),
+            apply_selector(i_representation(genutil.random_tournament(r, 6)), quarter),
+            genutil.random_hermitian(r, 6),
+        ]
+        third_hat = apply_selector(
+            i_representation(hat(paley_tournament(7))),
+            Selector.constant(8, GaussianScalar.exact("1/3")),
+        )
+        seen = []
+        self._spy(monkeypatch, classify, "pair_product", seen)
+        self._spy(monkeypatch, classify, "_det_exact", seen)
+        self._spy(monkeypatch, charpoly, "_det_exact", seen)
+        self._spy(monkeypatch, monomorphy, "_recurrence", seen)
+        for g in structures:
+            assert any(e.re.denominator > 1 or e.im.denominator > 1 for row in g.labels for e in row)
+            classify_k3(g)
+            determinant(g)
+            for p in (2, 3, 4):
+                det_constancy(g, p)
+                principal_minor_sum(g, p)
+            is_k_spectrally_monomorphic(g, 4)
+        assert c3_via_determinants(third_hat, 0, 1, 2) == 2
+        names = {name for name, _ in seen}
+        assert names == {"pair_product", "_det_exact", "_recurrence"}
+        # plain ints on the fractions backend; gmpy2's numerators are mpz
+        integers = {int, type(rational(1).numerator)}
+        for name, args in seen:
+            # the kernels take the matrix first; pair_product takes three pairs
+            for c in self._components(args if name == "pair_product" else args[0]):
+                assert type(c) in integers, (name, c)
 
 
 class TestApproxClassifyK3:

@@ -25,6 +25,8 @@ from spectramono.constructions import (
     skew_hadamard_from_drt,
 )
 from spectramono.core import (
+    HermitianStructure,
+    Selector,
     Tournament,
     apply_selector,
     c_representation,
@@ -33,7 +35,7 @@ from spectramono.core import (
     transitive_tournament,
 )
 from spectramono.documents import serialize_document
-from spectramono.scalars import GaussianScalar, get_eps, set_eps
+from spectramono.scalars import GaussianScalar, get_eps, rational, set_eps
 
 UNIT_C = GaussianScalar.exact("3/5", "4/5")
 
@@ -519,11 +521,44 @@ class TestApproxDocument:
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# Pythagorean units: twisting by them keeps every label of modulus 1 while
+# giving the labels denominators
+PYTHAGOREAN_TWIST = Selector(
+    [
+        GaussianScalar.exact("3/5", "4/5"),
+        GaussianScalar.exact("5/13", "-12/13"),
+        GaussianScalar.exact("8/17", "15/17"),
+        GaussianScalar.exact("-3/5", "4/5"),
+        GaussianScalar.exact(1),
+        GaussianScalar.exact(0, 1),
+    ]
+)
+
+
+def _twisted_rational_c_rep():
+    """The rational c-representation (label 3/5+4/5i) of a transitive
+    tournament on 6 vertices, relabelled and twisted by Pythagorean units."""
+    g = c_representation(transitive_tournament(6), UNIT_C)
+    return apply_selector(genutil.permuted(g, (3, 0, 5, 1, 4, 2)), PYTHAGOREAN_TWIST)
+
+
+def _phase_outside_pair():
+    """The same c-representation with the label of (2,4) replaced by another
+    unit, scaled by 1/4 and twisted: its phase at (2,4) leaves the pair."""
+    rows = [list(row) for row in c_representation(transitive_tournament(6), UNIT_C).labels]
+    rows[2][4] = GaussianScalar.exact("5/13", "12/13")
+    rows[4][2] = rows[2][4].conj()
+    twist = Selector(PYTHAGOREAN_TWIST.values, rational("1/4"))
+    return apply_selector(HermitianStructure(rows), twist)
+
+
 class TestGoldenBytes:
-    """Reports of the Jacobi route pinned byte for byte: spectra at orders 8
-    and 12 and check --all-k on the i-representations of hat(Paley-7) and
-    hat(Paley-11). The expected files hold the bytes the per-subset
-    recurrence printed before the route existed."""
+    """Reports pinned byte for byte. Spectra at orders 8 and 12 and
+    check --all-k on the i-representations of hat(Paley-7) and hat(Paley-11)
+    hold the bytes the per-subset recurrence printed before the Jacobi route
+    existed. The classify and c3 reports, on labels with denominators, hold
+    the bytes of the Fraction arithmetic that came before the cleared
+    Gaussian-integer label matrix."""
 
     def _out(self, tmp_path, capsys, name, value, *argv):
         path = write_doc(tmp_path, name + ".in.json", value)
@@ -544,6 +579,27 @@ class TestGoldenBytes:
         g = i_representation(hat(paley_tournament(q)))
         code, out = self._out(tmp_path, capsys, name, g, "check", "--all-k")
         assert code == 1
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize(
+        "name, build, argv, exit_code",
+        [
+            ("classify_k3_twisted_rational", _twisted_rational_c_rep, ("classify", "--k", "3"), 0),
+            ("classify_k3_phase_outside_pair", _phase_outside_pair, ("classify", "--k", "3"), 1),
+            (
+                "c3_hat_paley7_third",
+                lambda: apply_selector(
+                    i_representation(hat(paley_tournament(7))),
+                    Selector.constant(8, GaussianScalar.exact("1/3")),
+                ),
+                ("c3", "--pair", "1,2", "--via-determinants"),
+                0,
+            ),
+        ],
+    )
+    def test_report(self, name, build, argv, exit_code, tmp_path, capsys):
+        code, out = self._out(tmp_path, capsys, name, build(), *argv)
+        assert code == exit_code
         assert out == (GOLDEN / f"{name}.json").read_text()
 
 

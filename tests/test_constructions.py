@@ -324,6 +324,13 @@ class TestDeletionSpectra:
         with pytest.raises(InputError):
             verify_deletion_spectra(s)
 
+    @pytest.mark.parametrize("bad", [True, -1, 4, 1.0])
+    def test_bad_max_deletions(self, bad):
+        """max_deletions is an int in 0..3; a bool is not an int here."""
+        s = skew_adjacency(hat(paley_tournament(7)))
+        with pytest.raises(InputError, match="max_deletions"):
+            verify_deletion_spectra(s, bad)
+
 
 def _deletion_loop(s, max_deletions, closed_form):
     """(polys_checked, failure) of the per-deletion loop: char_poly of every

@@ -302,13 +302,18 @@ class TestDetConstancy:
         assert report.value == GaussianScalar.exact(0)
 
     def test_paley_order_four(self):
-        g = dominated_paley_seven()
-        report = det_constancy(g, 4)
-        assert not report.constant
-        values = {v.re for v in report.witness_values}
-        assert values == {rational(1), rational(9)}
-        for subset, value in zip(report.witness, report.witness_values):
-            assert determinant(substructure(g, subset)) == value
+        """Labels i * s^2: the minors are m^4 or 9 m^4 with m = s^2, compared
+        on the cleared integer matrix and reported divided by D^4."""
+        for s in ("1", "1/3"):
+            selector = Selector.constant(8, GaussianScalar.exact(s))
+            g = apply_selector(dominated_paley_seven(), selector)
+            report = det_constancy(g, 4)
+            assert not report.constant
+            values = {v.re for v in report.witness_values}
+            m4 = rational(s) ** 8
+            assert values == {m4, 9 * m4}
+            for subset, value in zip(report.witness, report.witness_values):
+                assert determinant(substructure(g, subset)) == value
 
     def test_order_validation(self):
         g = constant_structure(3, GaussianScalar.one())
