@@ -457,15 +457,21 @@ def determinant(g):
 
 def _cross_checked(re, im, p0, n, mode):
     """The elimination determinant re + i im of an order-n Hermitian
-    matrix, once it is real and equals (-1)^n P(0) from the recurrence."""
+    matrix, once it is real and equals (-1)^n P(0) from the recurrence.
+    A failure is a broken invariant in exact mode. In approx mode it is
+    rounding that the tolerance cannot absorb, such as a near-zero
+    determinant whose imaginary rounding outweighs its cancelled real
+    part, so it is an InputError."""
     expected = p0 if n % 2 == 0 else -p0
     if not negligible(im, re, mode):
-        raise InvariantError("determinant of a Hermitian matrix must be real")
-    if not close(re, expected, mode):
-        raise InvariantError(
-            f"determinant routes disagree: elimination {re}, recurrence {expected}"
-        )
-    return re
+        problem = "determinant of a Hermitian matrix must be real"
+    elif not close(re, expected, mode):
+        problem = f"determinant routes disagree: elimination {re}, recurrence {expected}"
+    else:
+        return re
+    if mode == EXACT:
+        raise InvariantError(problem)
+    raise InputError(f"approx labels lost precision ({problem} within eps); use exact labels")
 
 
 def principal_minor_sum(g, p):

@@ -25,7 +25,9 @@ from .core import (
     HermitianStructure,
     Selector,
     Tournament,
+    _built_selector,
     _descaled,
+    _too_close,
     common_modulus_squared_of_pairs,
     constant_structure,
     descending_score_order,
@@ -99,16 +101,6 @@ def _lifted_selector(m, gamma, lift, s):
         re, im = m[0][v]
         d.append(((re * gr + im * gi) * s, (re * gi - im * gr) * s))
     return d
-
-
-def _too_close(what):
-    """The InputError for approx labels that pass each tolerance test of the
-    reduction on their own while the selector built from them drifts
-    further: its error adds up the errors of several labels and phases."""
-    return InputError(
-        f"approx labels sit too close to the tolerance: {what} by more than "
-        f"eps {get_eps()!r}; exact labels or another eps decide it"
-    )
 
 
 def _check_reapplied(m, d, rows, gamma, gamma_bar, mode, target_scale):
@@ -226,12 +218,7 @@ def reduce_to_canonical_labels(g):
                 for x in range(n)
             ]
         )
-    try:
-        selector = Selector([_scalar(dv, lift * lift, mode) for dv in d])
-    except InvariantError:
-        if mode == EXACT:
-            raise
-        raise _too_close("the selector values differ in modulus") from None
+    selector = _built_selector([_scalar(dv, lift * lift, mode) for dv in d])
     return CanonicalReduction(
         modulus_squared=_descaled(msq, den, 2),
         gamma=gamma_scalar,

@@ -16,6 +16,7 @@ tolerance (default 1e-9) before any command runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -384,7 +385,9 @@ def _cmd_c3(args):
     return report, EXIT_TRUE
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spectramono",
         description="Exact spectra of Hermitian pair-labeled structures",
@@ -465,8 +468,7 @@ def _run(argv):
             set_eps(float(env_eps))
         except (ValueError, InputError) as exc:
             return _error("input", f"SPECTRAMONO_EPS: {exc}"), EXIT_INPUT
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except TheoremRangeError as exc:

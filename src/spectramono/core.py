@@ -45,9 +45,14 @@ def _check_vertex(n, x, what="vertex"):
 
 
 class HermitianStructure:
-    """Immutable Hermitian zero-diagonal label matrix over Gaussian scalars."""
+    """Immutable Hermitian zero-diagonal label matrix over Gaussian scalars.
 
-    __slots__ = ("n", "mode", "labels")
+    Construction clears the labels once into the (re, im) pair matrix
+    (A, D) of _label_matrix, checks the zero diagonal and the conjugate
+    symmetry on those pairs, and keeps them for every kernel.
+    """
+
+    __slots__ = ("n", "mode", "labels", "_matrix")
 
     def __init__(self, labels):
         rows = tuple(tuple(row) for row in labels)
@@ -66,17 +71,12 @@ class HermitianStructure:
                     mode = entry.mode
                 elif entry.mode != mode:
                     raise ModeMixError("labels mix exact and approx scalars")
-        for i in range(n):
-            if not rows[i][i].is_zero():
-                raise InvariantError(f"diagonal entry at {i} must be zero")
-            for j in range(i + 1, n):
-                if not rows[i][j] == rows[j][i].conj():
-                    raise InvariantError(
-                        f"labels at ({i},{j}) and ({j},{i}) are not conjugate"
-                    )
+        matrix = _cleared(rows, mode)
+        _check_hermitian(matrix[0], mode)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "labels", rows)
+        object.__setattr__(self, "_matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianStructure is immutable")
@@ -94,6 +94,7 @@ class HermitianStructure:
         object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "labels", rows)
+        object.__setattr__(self, "_matrix", _cleared(rows, mode))
         return self
 
     def common_modulus_squared(self):
@@ -162,18 +163,65 @@ def common_modulus_squared_of_pairs(pairs, mode):
 
 
 def _label_matrix(g):
-    """The label matrix of g as (re, im) component pairs: (A, D).
+    """The label matrix of g as (re, im) component pairs: (A, D), built
+    when g was (see _cleared). A is a tuple of row tuples, so no kernel can
+    change it. Every exact kernel works on A and divides by a power of D
+    only the values it reports.
+    """
+    return g._matrix
+
+
+def _cleared(rows, mode):
+    """(A, D) for rows of GaussianScalars of one mode, converting each
+    distinct scalar object once (equal cells often share one).
 
     Exact mode gives the Gaussian-integer matrix A of int pairs and the
     positive int D, the lcm of every label component denominator, so that
     the labels are A / D; D is 1 for integral labels. Approx mode gives the
-    float components and D = None. Every exact kernel works on A and
-    divides by a power of D only the values it reports.
+    float components and D = None.
     """
-    pairs = [[(e.re, e.im) for e in row] for row in g.labels]
-    if g.mode == APPROX:
-        return pairs, None
-    return clear_denominators(pairs)
+    distinct = {id(e): e for row in rows for e in row}
+    if mode == EXACT:
+        d = math.lcm(*(c.denominator for e in distinct.values() for c in (e.re, e.im)))
+        pairs = {
+            key: (e.re.numerator * (d // e.re.denominator), e.im.numerator * (d // e.im.denominator))
+            for key, e in distinct.items()
+        }
+    else:
+        d = None
+        pairs = {key: (e.re, e.im) for key, e in distinct.items()}
+    return tuple([tuple([pairs[id(e)] for e in row]) for row in rows]), d
+
+
+def _check_hermitian(a, mode):
+    """Raise InvariantError unless the pair matrix a (of _cleared) has a
+    zero diagonal and a(i, j) = conj(a(j, i)), going through i and, after
+    the diagonal entry at i, every j > i. Exact pairs compare literally;
+    approx pairs by the rule of GaussianScalar.is_zero and ==, each
+    component within eps. A = D * M passes exactly when M does."""
+    exact = mode == EXACT
+    eps = get_eps()
+    n = len(a)
+    for i in range(n):
+        row = a[i]
+        re, im = row[i]
+        if exact:
+            zero = re == 0 and im == 0
+        else:
+            zero = abs(re) <= eps and abs(im) <= eps
+        if not zero:
+            raise InvariantError(f"diagonal entry at {i} must be zero")
+        for j in range(i + 1, n):
+            re, im = row[j]
+            cre, cim = a[j][i]
+            if exact:
+                conjugate = re == cre and im == -cim
+            else:
+                conjugate = abs(re - cre) <= eps and abs(im - (-cim)) <= eps
+            if not conjugate:
+                raise InvariantError(
+                    f"labels at ({i},{j}) and ({j},{i}) are not conjugate"
+                )
 
 
 def _descaled(value, d, p):
@@ -181,23 +229,6 @@ def _descaled(value, d, p):
     A = D * M of _label_matrix, such as a minor of order p: the value for
     M. Approx values (d None) pass through."""
     return value if d is None else ratio(value, d**p)
-
-
-def clear_denominators(pairs):
-    """(A, D) for a matrix of exact (re, im) component pairs: D is the lcm of
-    every component denominator and A the matrix of Gaussian-integer pairs
-    with pairs = A / D. D is 1 when every component is integral."""
-    d = math.lcm(*(c.denominator for row in pairs for pair in row for c in pair))
-    if d == 1:
-        return [[(re.numerator, im.numerator) for re, im in row] for row in pairs], 1
-    a = [
-        [
-            (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
-            for re, im in row
-        ]
-        for row in pairs
-    ]
-    return a, d
 
 
 def pair_product(a, b, c):
@@ -492,6 +523,28 @@ class Selector:
         return f"Selector(n={self.n}, mode={self.mode!r}, scale_sq={self.scale_sq})"
 
 
+def _too_close(what):
+    """The InputError for approx labels that pass each tolerance test on
+    their own while a selector built from them drifts further: its error
+    adds up the errors of several labels and phases."""
+    return InputError(
+        f"approx labels sit too close to the tolerance: {what} by more than "
+        f"eps {get_eps()!r}; exact labels or another eps decide it"
+    )
+
+
+def _built_selector(values, scale_sq=1):
+    """Selector(values, scale_sq) for values computed from labels. Values
+    that differ in modulus are a broken invariant in exact mode and
+    _too_close input in approx mode."""
+    try:
+        return Selector(values, scale_sq)
+    except InvariantError:
+        if values[0].mode == EXACT:
+            raise
+        raise _too_close("the selector values differ in modulus") from None
+
+
 def substructure(g, vertices):
     """Restriction of g to the given vertices, sorted ascending.
 
@@ -532,10 +585,9 @@ def apply_selector(g, d):
     mode = g.mode
     exact = mode == EXACT
     labels, den = _label_matrix(g)
-    values = [(v.re, v.im) for v in d.values]
+    (values,), r = _cleared((d.values,), mode)
     scale = d.scale_sq
     if exact:
-        (values,), r = clear_denominators([values])
         num = scale.numerator
         den *= r * r * scale.denominator
     zero = GaussianScalar.zero(mode)
@@ -667,8 +719,10 @@ def normalize_at(g, w):
         one if x == w else g.labels[w][x].scale(1 / m)
         for x in range(g.n)
     ]
-    selector = Selector(values, 1 / m)
+    selector = _built_selector(values, 1 / m)
     if not apply_selector(g, selector) == normalized:
+        if mode != EXACT:
+            raise _too_close("the normalizing selector misses the normal form")
         raise InvariantError("normalizing selector failed to reproduce the normal form")
     return normalized, selector
 
@@ -765,8 +819,9 @@ def are_equivalent(g, h):
         values.append(
             (h.labels[0][v].conj() * u0 * g.labels[0][v]).scale(1 / denominator)
         )
-    witness = Selector(values)
-    mapped = apply_selector(g, witness)
-    if not mapped == h:
+    witness = _built_selector(values)
+    if not apply_selector(g, witness) == h:
+        if mode != EXACT:
+            raise _too_close("the equivalence witness misses the target")
         raise InvariantError("equivalence witness failed to reproduce the target")
     return EquivalenceReport(True, witness=witness)

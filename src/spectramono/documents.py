@@ -132,15 +132,16 @@ def parse_document(text):
 
 def document_dict(value):
     if isinstance(value, HermitianStructure):
+        # equal labels often share one scalar object; render each once
+        distinct = {id(z): z for row in value.labels for z in row}
+        texts = {key: z.to_text() for key, z in distinct.items()}
+        entries = [[texts[id(z)] for z in row] for row in value.labels]
         return {
             "format_version": FORMAT_VERSION,
             "kind": "hermitian",
             "n": value.n,
             "mode": value.mode,
-            "entries": [
-                [value.label(i, j).to_text() for j in range(value.n)]
-                for i in range(value.n)
-            ],
+            "entries": entries,
         }
     if isinstance(value, Tournament):
         return {
@@ -149,8 +150,8 @@ def document_dict(value):
             "n": value.n,
             "mode": EXACT,
             "entries": [
-                ["1" if value.dominates(i, j) else "0" for j in range(value.n)]
-                for i in range(value.n)
+                ["1" if row >> j & 1 else "0" for j in range(value.n)]
+                for row in value.rows
             ],
         }
     if isinstance(value, SignMatrix):

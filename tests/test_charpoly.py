@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import genutil
 from spectramono.charpoly import (
     RealPolynomial,
+    _cross_checked,
     _recurrence,
     char_poly,
     determinant,
@@ -17,6 +18,7 @@ from spectramono.charpoly import (
 from spectramono.constructions import hat, paley_tournament
 from spectramono.core import (
     HermitianStructure,
+    Selector,
     Tournament,
     apply_selector,
     constant_structure,
@@ -203,6 +205,37 @@ class TestDeterminant:
             d = determinant(g)
             p0 = char_poly(g).coefficients[0]
             assert d.re == (p0 if n % 2 == 0 else -p0)
+
+    def test_approx_near_singular_is_an_input_error(self):
+        """Float copies of i-representations of odd tournaments twisted by
+        a modulus-5 selector have determinant 0; the elimination leaves an
+        imaginary rounding that its cancelled real part cannot absorb, or
+        a real part the recurrence does not match within eps. That is
+        refused as input, never reported as a broken invariant, while the
+        exact structures give 0."""
+        refused = 0
+        r = genutil.rng(14)
+        for _ in range(30):
+            n = r.choice((5, 7, 9))
+            t = genutil.random_tournament(r, n)
+            twist = Selector([r.choice(genutil.MOD5_POOL) for _ in range(n)])
+            g = apply_selector(i_representation(t), twist)
+            assert determinant(g) == GaussianScalar.exact(0)
+            try:
+                determinant(genutil.approx_copy(g))
+            except InputError as exc:
+                assert "lost precision" in str(exc)
+                refused += 1
+        assert refused > 0
+
+    def test_cross_check_failure_is_input_in_approx_mode_only(self):
+        for mode, error in ((EXACT, InvariantError), (APPROX, InputError)):
+            one = 1 if mode == EXACT else 1.0
+            with pytest.raises(error, match="must be real"):
+                _cross_checked(one, one, one, 2, mode)
+            with pytest.raises(error, match="routes disagree"):
+                _cross_checked(one, 0 * one, 2 * one, 2, mode)
+            assert _cross_checked(one, 0 * one, -one, 3, mode) == one
 
 
 class TestPrincipalMinorSum:

@@ -1,8 +1,8 @@
 """In-process runs of the command line driver.
 
-Every test but one calls main(argv) directly and decodes the JSON report
-from stdout, so exit codes and report contents are pinned without spawning
-subprocesses. The one runs `python -m spectramono` from the source tree.
+Most tests call main(argv) directly and decode the JSON report from
+stdout, so exit codes and report contents are pinned without spawning
+subprocesses. Two run `python -m spectramono` from the source tree.
 """
 
 import errno
@@ -396,6 +396,40 @@ class TestErrorsAndEnvironment:
         assert main(argv) == 0
         assert done.stdout == capsys.readouterr().out.encode()
 
+    def test_one_parser_serves_every_request(self, paley_hat_path, capsys):
+        """The parser is built once per process. A usage error, then
+        requests alternating between check and classify, print in one
+        process what each prints in a fresh one, byte for byte."""
+        requests = [
+            ["check", "--input", paley_hat_path, "--bogus"],
+            ["classify", "--input", paley_hat_path, "--k", "5"],
+            ["check", "--input", paley_hat_path, "--k", "4"],
+            ["classify", "--input", paley_hat_path, "--k", "3"],
+            ["check", "--input", paley_hat_path, "--all-k"],
+            ["classify", "--input", paley_hat_path],
+            ["check", "--input", paley_hat_path, "--k", "3"],
+        ]
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        codes = []
+        for argv in requests:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "spectramono", *argv],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert code == fresh.returncode
+            assert out.encode() == fresh.stdout
+            assert err.encode() == fresh.stderr
+            codes.append(code)
+        assert codes == [2, 0, 1, 0, 1, 2, 0]
+
     def test_closed_pipe_exits_quietly(self, paley_hat_path, monkeypatch):
         """A reader that closes the pipe early (as `| head -1` does) makes
         the report write fail: main raises nothing, keeps its exit code and
@@ -552,6 +586,17 @@ def _phase_outside_pair():
     return apply_selector(HermitianStructure(rows), twist)
 
 
+def _scrambled_twisted_hat_paley11():
+    """The i-representation of hat(Paley-11), relabelled and twisted by
+    Pythagorean units of modulus 5/4: every label gets a denominator, and
+    the report carries a canonical structure and a tournament document."""
+    g = i_representation(hat(paley_tournament(11)))
+    perm = (7, 2, 11, 0, 9, 4, 1, 10, 5, 8, 3, 6)
+    pool = PYTHAGOREAN_TWIST.values
+    twist = Selector([pool[(3 * x) % len(pool)] for x in range(12)], rational("25/16"))
+    return apply_selector(genutil.permuted(g, perm), twist)
+
+
 class TestGoldenBytes:
     """Reports pinned byte for byte. Spectra at orders 8 and 12 and
     check --all-k on the i-representations of hat(Paley-7) and hat(Paley-11)
@@ -593,6 +638,12 @@ class TestGoldenBytes:
                     Selector.constant(8, GaussianScalar.exact("1/3")),
                 ),
                 ("c3", "--pair", "1,2", "--via-determinants"),
+                0,
+            ),
+            (
+                "classify_k9_scrambled_twisted_hat_paley11",
+                _scrambled_twisted_hat_paley11,
+                ("classify", "--k", "9"),
                 0,
             ),
         ],

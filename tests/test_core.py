@@ -3,6 +3,8 @@
 import pytest
 
 import genutil
+from spectramono import core
+from spectramono.classify import classify_k3
 from spectramono.core import (
     ConstantRepresentationWarning,
     HermitianStructure,
@@ -18,6 +20,7 @@ from spectramono.core import (
     is_transitive,
     normalize_at,
     substructure,
+    _label_matrix,
     transitive_tournament,
 )
 from spectramono.errors import (
@@ -27,7 +30,8 @@ from spectramono.errors import (
     ModeMixError,
     NotTwoMonomorphicError,
 )
-from spectramono.scalars import EXACT, GaussianScalar, rational
+from spectramono.monomorphy import is_k_spectrally_monomorphic
+from spectramono.scalars import APPROX, EXACT, GaussianScalar, get_eps, rational
 
 ONE = GaussianScalar.one()
 I = GaussianScalar.i_unit()
@@ -95,6 +99,154 @@ class TestHermitianStructure:
         )
         with pytest.raises(NotTwoMonomorphicError):
             g.common_modulus_squared()
+
+
+def _scalar_rule_validation(rows):
+    """The structure checks as GaussianScalar arithmetic states them, in
+    their order: is_zero on the diagonal entry at i, then == against
+    conj() for every j > i. The oracle for the checks on cleared pairs."""
+    n = len(rows)
+    for i in range(n):
+        if not rows[i][i].is_zero():
+            raise InvariantError(f"diagonal entry at {i} must be zero")
+        for j in range(i + 1, n):
+            if not rows[i][j] == rows[j][i].conj():
+                raise InvariantError(
+                    f"labels at ({i},{j}) and ({j},{i}) are not conjugate"
+                )
+
+
+def _outcome(check, rows):
+    try:
+        check(rows)
+    except InvariantError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _perturbed_grids(r, mode, count):
+    """Random valid grids of one mode with one or two perturbations each,
+    some of them no-ops: a label against a non-conjugate partner, a
+    nonzero diagonal, noise just inside or just outside eps (approx), or
+    -0.0 where 0.0 stood (approx). Cells share scalar objects, as parsed
+    documents do."""
+    eps = get_eps()
+    for _ in range(count):
+        n = r.randint(1, 6)
+        if mode == EXACT:
+            pool = [genutil.random_exact_scalar(r, span=6) for _ in range(3)]
+        else:
+            pool = [
+                GaussianScalar.approx(r.uniform(-30, 30), r.uniform(-30, 30))
+                for _ in range(3)
+            ] + [GaussianScalar.approx(0.0, -0.0)]
+        zero = GaussianScalar.zero(mode)
+        rows = [[zero] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                z = r.choice(pool)
+                rows[x][y] = z
+                rows[y][x] = z.conj()
+        for _ in range(r.choice((1, 1, 2))):
+            x, y = r.randrange(n), r.randrange(n)
+            e = rows[x][y]
+            kind = r.choice(("none", "partner", "diagonal", "inside", "outside", "signed zero"))
+            if kind == "partner":
+                rows[x][y] = r.choice(pool)
+            elif kind == "diagonal":
+                nonzero = pool if mode == EXACT else pool + [GaussianScalar.approx(eps / 2)]
+                rows[x][x] = r.choice(nonzero)
+            elif mode == APPROX and kind in ("inside", "outside"):
+                delta = eps * (1 - 1e-6 if kind == "inside" else 1 + 1e-6) * r.choice((-1, 1))
+                if r.random() < 0.5:
+                    rows[x][y] = GaussianScalar.approx(e.re + delta, e.im)
+                else:
+                    rows[x][y] = GaussianScalar.approx(e.re, e.im + delta)
+            elif mode == APPROX and kind == "signed zero":
+                rows[x][y] = GaussianScalar.approx(
+                    -e.re if e.re == 0 else e.re, -e.im if e.im == 0 else e.im
+                )
+                rows[x][x] = GaussianScalar.approx(-0.0, r.choice((0.0, -0.0)))
+        yield rows
+
+
+class TestClearedMatrix:
+    """The structure keeps its cleared matrix (A, D) and is checked on it."""
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_checks_match_the_scalar_rule(self, mode):
+        r = genutil.rng(71 if mode == EXACT else 72)
+        outcomes = set()
+        for rows in _perturbed_grids(r, mode, 600):
+            expected = _outcome(_scalar_rule_validation, rows)
+            assert _outcome(HermitianStructure, rows) == expected
+            outcomes.add(None if expected is None else expected[1].split(" ")[0])
+        assert outcomes == {None, "diagonal", "labels"}
+
+    def test_approx_noise_at_eps(self):
+        """Noise up to eps itself passes; noise past it fails."""
+        eps = get_eps()
+        zero = GaussianScalar.approx(0.0)
+        for delta, ok in ((eps * 0.999, True), (eps, True), (eps * 1.001, False)):
+            for z in (GaussianScalar.approx(0.0, delta), GaussianScalar.approx(delta, 0.0)):
+                for rows in ([[z, zero], [zero, zero]], [[zero, z], [zero, zero]]):
+                    assert (_outcome(HermitianStructure, rows) is None) is ok
+                    assert _outcome(HermitianStructure, rows) == _outcome(
+                        _scalar_rule_validation, rows
+                    )
+
+    def test_matrix_is_immutable(self):
+        g = apply_selector(
+            i_representation(THREE_CYCLE), Selector.constant(3, GaussianScalar.exact("1/2"))
+        )
+        a, d = _label_matrix(g)
+        assert d == 4
+        assert isinstance(a, tuple) and all(isinstance(row, tuple) for row in a)
+        with pytest.raises(TypeError):
+            a[0][1] = (0, 0)
+        with pytest.raises(TypeError):
+            a[0] = a[1]
+        with pytest.raises(AttributeError):
+            g._matrix = ([[(0, 0)]], 1)
+        assert a == (((0, 0), (0, 1), (0, -1)), ((0, -1), (0, 0), (0, 1)), ((0, 1), (0, -1), (0, 0)))
+
+    def test_substructure_clears_its_own_labels(self):
+        g = genutil.random_coprime_hermitian(genutil.rng(73), 6)
+        for vs in ((0, 1), (1, 3, 4), (0, 2, 3, 5)):
+            rebuilt = HermitianStructure([[g.labels[a][b] for b in vs] for a in vs])
+            assert _label_matrix(substructure(g, vs)) == _label_matrix(rebuilt)
+
+    def test_k3_sweep_op_clears_each_structure_once(self, monkeypatch):
+        """A k3-sweep op (build, classify_k3, enumeration at k = 3) clears
+        the labels of each structure it builds exactly once, when the
+        structure is built; every kernel reads that matrix."""
+        cleared = []
+        original = core._cleared
+
+        def spy(rows, mode):
+            cleared.append(rows)
+            return original(rows, mode)
+
+        monkeypatch.setattr(core, "_cleared", spy)
+        built = []
+        init = HermitianStructure.__init__
+
+        def spy_init(self, labels):
+            init(self, labels)
+            built.append(self)
+
+        monkeypatch.setattr(HermitianStructure, "__init__", spy_init)
+        r = genutil.rng(74)
+        for t in [transitive_tournament(6)] + [genutil.random_tournament(r, 6) for _ in range(5)]:
+            cleared.clear()
+            built.clear()
+            g = i_representation(t)
+            classify_k3(g)
+            is_k_spectrally_monomorphic(g, 3)
+            # the other calls clear the values of a selector, one row
+            matrices = [rows for rows in cleared if len(rows) > 1]
+            assert [id(rows) for rows in matrices] == [id(h.labels) for h in built]
+            assert built[0] is g and len(built) > 1
 
 
 class TestTournament:
@@ -377,6 +529,51 @@ def _huge_approx(v, n=5):
     return HermitianStructure(
         [[zero if x == y else z if x < y else z.conj() for y in range(n)] for x in range(n)]
     )
+
+
+class TestJitteredApproxNormalization:
+    """Jittered approx labels can share one modulus within eps while the
+    selector built from several of them drifts further: its values differ
+    in modulus, or it misses its target. Approx mode reports that as
+    input too close to the tolerance, never as a broken invariant."""
+
+    CASES = ((9, 6), (10, 7))
+
+    def test_normalize_at(self):
+        refused = 0
+        for seed_, n in self.CASES:
+            for _, h in genutil.jittered_c_representations(count=6, seed=seed_, n=n):
+                for w in range(n):
+                    try:
+                        normalized, selector = normalize_at(h, w)
+                    except NotTwoMonomorphicError:
+                        continue
+                    except InputError as exc:
+                        assert "too close to the tolerance" in str(exc)
+                        refused += 1
+                        continue
+                    assert apply_selector(h, selector) == normalized
+        assert refused > 0
+
+    def test_are_equivalent(self):
+        messages = set()
+        for seed_, n in self.CASES:
+            r = genutil.rng(seed_)
+            for _, h in genutil.jittered_c_representations(count=6, seed=seed_, n=n):
+                for pool in (genutil.UNIT_POOL, genutil.MOD5_POOL):
+                    values = [r.choice(pool) for _ in range(n)]
+                    twist = Selector([GaussianScalar.approx(float(v.re), float(v.im)) for v in values])
+                    try:
+                        report = are_equivalent(h, apply_selector(h, twist))
+                    except InputError as exc:
+                        assert "too close to the tolerance" in str(exc)
+                        messages.add(str(exc).split(": ")[1].split(" by ")[0])
+                        continue
+                    assert report.equivalent or "different moduli" in report.reason
+        assert messages == {
+            "the selector values differ in modulus",
+            "the equivalence witness misses the target",
+        }
 
 
 class TestAreEquivalent:
