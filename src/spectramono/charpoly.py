@@ -6,8 +6,11 @@ Faddeev-LeVerrier recurrence on a matrix of (re, im) component pairs, the
 same loop in both arithmetic modes. In exact mode the pairs are integers:
 with D the lcm of every label component denominator, A = D * M is a
 Gaussian-integer matrix, its recurrence divides only exactly, and
-P_M(x) = D^-n * P_A(D * x). In approx mode the pairs are floats and each
-coefficient is checked and formed within the tolerance of scalars.
+P_M(x) = D^-n * P_A(D * x). Every power the recurrence forms is a real
+polynomial in the Hermitian A and so Hermitian itself, and exact mode
+computes only its upper triangle and mirrors the rest as conjugates. In
+approx mode the pairs are floats, every entry of each power is formed, and
+each coefficient is checked and formed within the tolerance of scalars.
 Enumerations slice principal submatrices of one such matrix instead of
 building substructures. Determinants come from an independent elimination,
 fraction-free Bareiss elimination over the Gaussian integers in exact mode
@@ -197,13 +200,21 @@ def _recurrence(a, mode, points=()):
     Faddeev-LeVerrier pass: M_1 = A, c_k = -trace(M_k) / k,
     N_k = M_k + c_k I, M_{k+1} = A N_k.
 
+    A must be Hermitian: every structure is checked to be, enumerations
+    pass its principal submatrices, and the deletion spectra pass i * S for
+    a skew S. Then each M_k is a real polynomial in A and Hermitian too,
+    so exact mode computes only the entries on and above the diagonal of
+    M_(k+1) and fills each entry below it with the conjugate of its mirror
+    image. The diagonal is always computed, so the checks below test
+    computed values. Approx mode forms every entry, keeping its rounding.
+
     Exact mode: a Hermitian Gaussian-integer matrix has an integer
     characteristic polynomial, so every trace is real and every division
     by k is exact; both are checked. Approx mode: c_k = -trace / k, and a
     trace that overflowed floats or is not real within eps is an
     InputError, since rounding in the powers of valid Hermitian input can
     outgrow a real part that cancels. The last product is only needed for
-    its trace, so only its diagonal is formed.
+    its trace, so only its diagonal is formed, from full dot products.
 
     For each integer x in points (exact mode) the same pass also returns
     adj(xI - A) = x^(n-1) I + x^(n-2) N_1 + ... + N_(n-1), accumulated by
@@ -263,7 +274,13 @@ def _recurrence(a, mode, points=()):
             re, im = col[i]
             col[i] = (re + ck, im)
         if k + 1 < n:
-            mk = [[_pair_dot(row, col) for col in cols] for row in a]
+            mk = []
+            for i, row in enumerate(a):
+                start = 0 if mode == APPROX else i
+                mk.append(
+                    [(above[i][0], -above[i][1]) for above in mk[:start]]
+                    + [_pair_dot(row, col) for col in cols[start:]]
+                )
             diagonal = [row[i] for i, row in enumerate(mk)]
         else:
             diagonal = [_pair_dot(row, col) for row, col in zip(a, cols)]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -43,7 +42,7 @@ from .constructions import (
     verify_deletion_spectra,
 )
 from .core import Tournament, c_representation, i_representation
-from .documents import document_dict, parse_document
+from .documents import document_dict, parse_document, render_json
 from .errors import InputError, InvariantError, SpectramonoError, TheoremRangeError
 from .monomorphy import is_k_spectrally_monomorphic, monomorphy_profile
 from .scalars import EXACT, GaussianScalar, negligible, rational, set_eps
@@ -486,7 +485,7 @@ def _run(argv):
 def main(argv=None):
     report, code = _run(argv)
     try:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(render_json(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (as `| head` does); what is still

@@ -13,16 +13,15 @@ def colex_subsets(n, k):
         raise InputError(f"bad subset parameters n={n}, k={k}")
     if k > n:
         return
-    if k == 0:
-        yield ()
-        return
-
-    def rec(limit, size):
-        if size == 0:
-            yield ()
+    # s[k] = n bounds the top; the successor of s increments the first s[j]
+    # that has room below s[j + 1] and resets the entries below it
+    s = list(range(k)) + [n]
+    while True:
+        yield tuple(s[:k])
+        j = 0
+        while j < k and s[j] + 1 == s[j + 1]:
+            j += 1
+        if j == k:
             return
-        for top in range(size - 1, limit):
-            for rest in rec(top, size - 1):
-                yield rest + (top,)
-
-    yield from rec(n, k)
+        s[j] += 1
+        s[:j] = range(j)

@@ -801,7 +801,16 @@ def are_equivalent(g, h):
                     f"|delta|^2 = sqrt({ratio}) which is irrational"
                 ),
             )
-        u0 = two_square_root(s0)
+        try:
+            u0 = two_square_root(s0)
+        except InputError:
+            return EquivalenceReport(
+                True,
+                note=(
+                    f"equivalent, but |delta|^2 = {s0} is too large for the "
+                    "two-square search, so no exact witness was searched"
+                ),
+            )
         if u0 is None:
             return EquivalenceReport(
                 True,

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .constructions import SignMatrix
 from .core import HermitianStructure, Tournament
@@ -170,4 +172,35 @@ def document_dict(value):
 
 def serialize_document(value):
     """Render a HermitianStructure, Tournament or SignMatrix as document text."""
-    return json.dumps(document_dict(value), indent=2, sort_keys=True) + "\n"
+    return render_json(document_dict(value)) + "\n"
+
+
+def render_json(value, newline="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
+    value of dicts with string keys, lists, tuples and JSON scalars, without
+    the pure-Python encoder that json.dumps runs given an indent. `newline`
+    is the line break and indentation of the enclosing container."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = (
+            encode_basestring_ascii(key) + ": " + render_json(item, inner)
+            for key, item in sorted(value.items())
+        )
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(map(isinstance, value, repeat(str))):
+            body = map(encode_basestring_ascii, value)
+        else:
+            body = (render_json(item, inner) for item in value)
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    elif type(value) is int:
+        return repr(value)
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return opening + inner + ("," + inner).join(body) + newline + closing

@@ -119,23 +119,37 @@ def rational_sqrt(q):
     return None
 
 
+# the most values of a that two_square_root tries, about 0.25 s of search
+TWO_SQUARE_CANDIDATES = 1 << 20
+
+
 def two_square_root(q):
     """Some exact Gaussian scalar u with |u|^2 == q, or None when none exists.
 
     A positive rational p/r (reduced) is a sum of two rational squares exactly
-    when p*r is a sum of two integer squares. The search is brute force over
-    a up to isqrt(p*r), which is fine at the magnitudes this package meets.
+    when p*r is a sum of two integer squares a^2 + b^2. The search is brute
+    force over a from isqrt(p*r) down to a >= b, so the largest a is found
+    first. It tries at most TWO_SQUARE_CANDIDATES values, since the range
+    grows with sqrt(p*r); a search that ends there without an answer is an
+    InputError, not a claim that none exists.
     """
     q = rational(q)
     if q <= 0:
         return None
     num, den = int(q.numerator), int(q.denominator)
     target = num * den
-    for a in range(math.isqrt(target), -1, -1):
+    top = math.isqrt(target)
+    bottom = math.isqrt((target - 1) // 2)
+    for a in range(top, max(bottom, top - TWO_SQUARE_CANDIDATES), -1):
         rest = target - a * a
         b = math.isqrt(rest)
         if b * b == rest:
             return GaussianScalar.exact(_rat(a, den), _rat(b, den))
+    if top - bottom > TWO_SQUARE_CANDIDATES:
+        raise InputError(
+            f"{q} is too large for the two-square search: "
+            f"more than {TWO_SQUARE_CANDIDATES} candidates"
+        )
     return None
 
 

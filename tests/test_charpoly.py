@@ -8,6 +8,8 @@ import genutil
 from spectramono.charpoly import (
     RealPolynomial,
     _cross_checked,
+    _det_exact,
+    _pair_dot,
     _recurrence,
     char_poly,
     determinant,
@@ -22,6 +24,7 @@ from spectramono.core import (
     Tournament,
     apply_selector,
     constant_structure,
+    _label_matrix,
     i_representation,
     substructure,
     transitive_tournament,
@@ -181,6 +184,14 @@ class TestCharPoly:
             with pytest.raises(error):
                 _recurrence([[zero, one], [one, zero]], mode)
 
+    def test_non_real_trace_of_a_formed_power(self):
+        """On order 3, M_2 is formed entry by entry before its trace is
+        taken: its diagonal is computed, so a non-Hermitian input that
+        breaks the realness of that trace is still caught."""
+        one, i, zero = (1, 0), (0, 1), (0, 0)
+        with pytest.raises(InvariantError, match="must be real"):
+            _recurrence([[zero, one, zero], [i, zero, zero], [zero, zero, zero]], EXACT)
+
 
 class TestDeterminant:
     def test_odd_cycle_is_singular(self):
@@ -289,6 +300,68 @@ def test_coefficient_identity():
             for p in range(1, n + 1):
                 minors = (-1) ** p * principal_minor_sum(g, p).re
                 assert close(p_g.coefficients[n - p], minors, APPROX)
+
+
+def _gaussian_integer_hermitian(r, n, span=5):
+    a = [[(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            re, im = r.randint(-span, span), r.randint(-span, span)
+            a[i][j], a[j][i] = (re, im), (re, -im)
+    return [tuple(row) for row in a]
+
+
+class TestKernelParity:
+    """The exact recurrence forms only the upper triangle of each power and
+    mirrors the rest as conjugates. At orders 7 to 16, on Gaussian-integer
+    matrices with negative entries and on cleared matrices A = D * M of
+    rational labels (D > 1), it must agree with Bareiss elimination at
+    n + 1 integer points, and its adjugates must invert xI - A there."""
+
+    @staticmethod
+    def _matrices():
+        r = genutil.rng(31)
+        for n in range(7, 17):
+            yield _gaussian_integer_hermitian(r, n)
+            a, d = _label_matrix(genutil.random_hermitian(r, n))
+            assert d > 1
+            yield a
+
+    @staticmethod
+    def _shifted(a, x):
+        """x I - A as (re, im) pairs."""
+        return [
+            [((x if i == j else 0) - re, -im) for j, (re, im) in enumerate(row)]
+            for i, row in enumerate(a)
+        ]
+
+    @staticmethod
+    def _value(descending, x):
+        value = 0
+        for c in descending:
+            value = value * x + c
+        return value
+
+    def test_recurrence_matches_elimination(self):
+        for a in self._matrices():
+            n = len(a)
+            descending, _ = _recurrence(a, EXACT)
+            for x in range(-3, n - 2):
+                assert _det_exact(self._shifted(a, x), n) == (self._value(descending, x), 0)
+
+    def test_adjugates_invert_the_shifted_matrix(self):
+        for a in self._matrices():
+            n = len(a)
+            points = list(range(-3, n - 2))
+            descending, adjugates = _recurrence(a, EXACT, points)
+            assert descending == _recurrence(a, EXACT)[0]
+            for x, (adj_re, adj_im) in zip(points, adjugates):
+                b = self._shifted(a, x)
+                value = self._value(descending, x)
+                for i in range(n):
+                    row = list(zip(adj_re[i * n : (i + 1) * n], adj_im[i * n : (i + 1) * n]))
+                    for j, col in enumerate(zip(*b)):
+                        assert _pair_dot(row, col) == (value if i == j else 0, 0)
 
 
 def test_selector_scaling_law():

@@ -597,13 +597,28 @@ def _scrambled_twisted_hat_paley11():
     return apply_selector(genutil.permuted(g, perm), twist)
 
 
+def _approx_twisted_c_rep_hat_paley7():
+    """An approx copy of the c-representation (label 3/5+4/5i) of
+    hat(Paley-7), twisted by unit values: every coefficient of its report
+    is a float, so the bytes pin the rounding of the approx recurrence."""
+    pool = genutil.UNIT_POOL
+    twist = Selector([pool[(5 * x + 4) % len(pool)] for x in range(8)])
+    g = c_representation(hat(paley_tournament(7)), UNIT_C)
+    return genutil.approx_copy(apply_selector(g, twist))
+
+
+def _jittered(seed, n):
+    return genutil.jittered_c_representations(count=1, seed=seed, n=n)[0][1]
+
+
 class TestGoldenBytes:
     """Reports pinned byte for byte. Spectra at orders 8 and 12 and
     check --all-k on the i-representations of hat(Paley-7) and hat(Paley-11)
     hold the bytes the per-subset recurrence printed before the Jacobi route
     existed. The classify and c3 reports, on labels with denominators, hold
     the bytes of the Fraction arithmetic that came before the cleared
-    Gaussian-integer label matrix."""
+    Gaussian-integer label matrix. The approx reports hold the float
+    rounding of the recurrence that formed every entry of each power."""
 
     def _out(self, tmp_path, capsys, name, value, *argv):
         path = write_doc(tmp_path, name + ".in.json", value)
@@ -645,6 +660,24 @@ class TestGoldenBytes:
                 _scrambled_twisted_hat_paley11,
                 ("classify", "--k", "9"),
                 0,
+            ),
+            (
+                "all_k_approx_twisted_c_rep_hat_paley7",
+                _approx_twisted_c_rep_hat_paley7,
+                ("check", "--all-k"),
+                1,
+            ),
+            (
+                "classify_k3_approx_jittered",
+                lambda: _jittered(6, 6),
+                ("classify", "--k", "3"),
+                1,
+            ),
+            (
+                "check_k5_approx_jittered",
+                lambda: _jittered(10, 7),
+                ("check", "--k", "5"),
+                1,
             ),
         ],
     )

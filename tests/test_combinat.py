@@ -1,0 +1,23 @@
+"""Tests for the colexicographic subset enumeration."""
+
+from itertools import combinations
+
+import pytest
+
+from spectramono.combinat import colex_subsets
+from spectramono.errors import InputError
+
+
+def test_matches_definition():
+    """Colex order is the order of the subsets read from their largest
+    element down."""
+    for n in range(10):
+        for k in range(n + 2):
+            expected = sorted(combinations(range(n), k), key=lambda s: s[::-1])
+            assert list(colex_subsets(n, k)) == expected, (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(-1, 0), (3, -1), (-2, -2)])
+def test_negative_parameters(n, k):
+    with pytest.raises(InputError, match="bad subset parameters"):
+        list(colex_subsets(n, k))

@@ -1,5 +1,7 @@
 """Tests for structures, tournaments, selectors, normalization, equivalence."""
 
+import time
+
 import pytest
 
 import genutil
@@ -654,6 +656,20 @@ class TestAreEquivalent:
         assert report.equivalent
         assert report.witness is not None
         assert apply_selector(g, report.witness) == h
+
+    def test_huge_modulus_answers_fast(self):
+        """|delta|^2 = 10^24 + 7 is beyond the two-square search, which
+        would take hours: the report says no witness was searched, not that
+        none exists, and comes back at once."""
+        g = constant_structure(3, ONE)
+        h = constant_structure(3, GaussianScalar.exact(10**24 + 7))
+        start = time.perf_counter()
+        report = are_equivalent(g, h)
+        assert time.perf_counter() - start < 1.0
+        assert report.equivalent
+        assert report.witness is None
+        assert "no exact witness was searched" in report.note
+        assert "exists" not in report.note
 
     def test_irrational_scale_note(self):
         g = hermitian({(0, 1): ONE}, 2)

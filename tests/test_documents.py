@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import genutil
 from spectramono.constructions import SignMatrix, hat, paley_tournament, skew_adjacency
@@ -16,6 +18,7 @@ from spectramono.core import (
 from spectramono.documents import (
     FORMAT_VERSION,
     parse_document,
+    render_json,
     serialize_document,
 )
 from spectramono.errors import InputError
@@ -226,3 +229,48 @@ class TestParseEachCellOnce:
             with pytest.raises(InputError) as got:
                 parse_document(json.dumps(doc))
             assert str(got.value) == str(want.value)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**30, max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), float("nan")]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\t\n\"\\", "é ∑ \U0001f600", "\ud800"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.text(max_size=3), max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None)
+@given(value=json_values)
+def test_render_json_matches_json_dumps(value):
+    """The report renderer is json.dumps with indent 2 and sorted keys,
+    byte for byte: empty containers, tuples, lists of strings, non-ASCII,
+    control characters and lone surrogates, big ints, signed zeros, inf,
+    nan, booleans and None."""
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_render_json_edge_values():
+    value = {
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "strings": ["", "é", "\x07", "\u2028"],
+        "mixed": [1, -0.0, float("nan"), float("inf"), True, None, 10**40, ("a",)],
+        "z": "last",
+    }
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert render_json({}) == "{}"
+    assert render_json([]) == "[]"

@@ -1,5 +1,6 @@
 """Tests for exact/approx Gaussian scalars and the rational helpers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from spectramono.errors import InputError, ModeMixError
 from spectramono.scalars import (
     APPROX,
     EXACT,
+    TWO_SQUARE_CANDIDATES,
     GaussianScalar,
     close,
     get_eps,
@@ -107,6 +109,32 @@ class TestTwoSquareRoot:
     def test_nonpositive(self):
         assert two_square_root(0) is None
         assert two_square_root(-5) is None
+
+    def test_largest_a_first(self):
+        """The search stops at a >= b; the largest a is still the one found,
+        as when every a down to 0 was tried."""
+        for target in range(1, 400):
+            expected = None
+            for a in range(math.isqrt(target), -1, -1):
+                b = math.isqrt(target - a * a)
+                if a * a + b * b == target:
+                    expected = (a, b)
+                    break
+            u = two_square_root(target)
+            assert (None if u is None else (u.re, u.im)) == expected, target
+
+    def test_search_is_bounded(self):
+        """The search range grows with sqrt(p * r). It stops after
+        TWO_SQUARE_CANDIDATES values; a target answered within them is
+        answered however large, and one that is not is refused."""
+        top = 1 << 40
+        for target in (top**2 + 1, rational(top**2 + 9) / 4):
+            assert two_square_root(target).modulus_squared() == target
+        for q in (10**24 + 7, rational(10**24 + 7) / 3):
+            with pytest.raises(InputError, match="too large for the two-square search"):
+                two_square_root(q)
+        # just inside the bound the whole range is still searched
+        assert two_square_root(2 * TWO_SQUARE_CANDIDATES**2 - 1) is None
 
 
 class TestExactArithmetic:
