@@ -3,7 +3,11 @@
 A structure is k-spectrally monomorphic when all of its k-vertex
 substructures share one characteristic polynomial. The checks here
 enumerate substructures in colexicographic order, so the first mismatching
-pair of subsets is deterministic and becomes the reported witness.
+pair of subsets is deterministic and becomes the reported witness. In
+exact mode a subset pays a recurrence only when neither its slice of the
+label matrix nor the gauge class of that slice, its norms and phase
+products, was seen before in the same enumeration: a selector twist keeps
+every characteristic polynomial, and it keeps the class too.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .charpoly import (
     char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
 )
 from .combinat import colex_subsets
-from .core import HermitianStructure, _descaled, substructure  # noqa: F401 - as char_poly
+from .core import HermitianStructure, _descaled, pair_product, substructure  # noqa: F401 - as char_poly
 from .errors import InputError, InvariantError
 from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, rational
 
@@ -76,8 +80,9 @@ def is_k_spectrally_monomorphic(g, k):
     is rejected rather than treated as vacuously true. The label matrix is
     built once and each subset's polynomial comes from its principal
     submatrix, the same computation char_poly(substructure(g, subset)) does.
-    In exact mode subsets with equal submatrices share one recurrence, and
-    large k goes through Jacobi's complementary minors (see _enumerate).
+    In exact mode subsets with equal or gauge-equivalent submatrices share
+    one recurrence, and large k goes through Jacobi's complementary minors
+    (see _enumerate).
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("is_k_spectrally_monomorphic takes a HermitianStructure")
@@ -105,8 +110,29 @@ def _negative_report(k, reference_subset, subset, reference_poly, poly, checked,
     )
 
 
-# entries of the per-call content memo of _enumerate
+# entries of each per-call memo of _enumerate
 _MEMO_BOUND = 1024
+
+
+def _class_key(m, subset):
+    """The gauge class of the slice A[S] of S = subset, or None when
+    a(s, u) = 0 for some u in S, s = subset[0]: the norms |a(s, u)|^2 of
+    the u after s, in subset order, then the phase products
+    W_s(u, v) = a(s, u) a(u, v) conj(a(s, v)) for u < v after s. With
+    E = diag(1, a(s, u), ...), E A[S] E^-1 has row s all ones, column s
+    the norms and entry (u, v) equal to W_s(u, v) / |a(s, v)|^2, so two
+    slices with one key are similar and share their polynomial."""
+    rest = subset[1:]
+    row = m[subset[0]]
+    lead = [row[u] for u in rest]
+    if (0, 0) in lead:
+        return None
+    key = [re * re + im * im for re, im in lead]
+    for i, u in enumerate(rest, 1):
+        mu = m[u]
+        su = lead[i - 1]
+        key += [pair_product(su, mu[v], sv) for v, sv in zip(rest[i:], lead[i:])]
+    return tuple(key)
 
 
 def _enumerate(m, d, k, adjugates):
@@ -115,13 +141,18 @@ def _enumerate(m, d, k, adjugates):
 
     Exact mode compares the integer coefficient lists that _recurrence
     gives for the submatrices A[S]: with one D and one k, P_A[S] = P_A[T]
-    exactly when P_M[S] = P_M[T]. A per-call memo maps the strict upper
-    triangle of A[S], which fixes the Hermitian zero-diagonal A[S], to its
-    list, so each distinct submatrix is sliced and reduced once, checks
-    included. The memo takes at most 1024 entries (_MEMO_BOUND) and then
-    inserts nothing more, so its size does not grow with C(n, k). Only
-    the reference, the witness and common_poly become RealPolynomials.
-    Approx mode (see _enumerate_approx) takes no memo.
+    exactly when P_M[S] = P_M[T]. Two per-call memos stand in front of the
+    recurrence. The first maps the strict upper triangle of A[S], which
+    fixes the Hermitian zero-diagonal A[S], to its list, so each distinct
+    submatrix is reduced once, checks included. On a miss there, the
+    second maps the gauge class of A[S] (_class_key) to its list, so a
+    slice that differs from an earlier one only by a diagonal similarity,
+    as a selector twist makes it, is not reduced again; a slice with a
+    zero in its lead row has no class key. Each
+    memo takes at most 1024 entries (_MEMO_BOUND) and then inserts
+    nothing more, so neither grows with C(n, k). Only the reference, the
+    witness and common_poly become RealPolynomials. Approx mode (see
+    _enumerate_approx) takes no memo.
 
     In exact mode with n - k <= 3 and 2k > n, the subsets after the first
     _direct_count(n, k) are compared through the complementary minors of
@@ -141,6 +172,7 @@ def _enumerate(m, d, k, adjugates):
         return _enumerate_approx(m, k, subsets)
     jacobi = n - k <= 3 and 2 * k > n
     memo = {}
+    classes = {}
     reference_subset = None
     reference = None
     checked = 0
@@ -149,7 +181,12 @@ def _enumerate(m, d, k, adjugates):
         key = tuple([m[a][b] for i, a in enumerate(subset) for b in subset[i + 1 :]])
         coefficients = memo.get(key)
         if coefficients is None:
-            coefficients, _ = _recurrence(_principal_submatrix(m, subset), EXACT)
+            gauge = _class_key(m, subset)
+            coefficients = classes.get(gauge)
+            if coefficients is None:
+                coefficients, _ = _recurrence(_principal_submatrix(m, subset), EXACT)
+                if gauge is not None and len(classes) < _MEMO_BOUND:
+                    classes[gauge] = coefficients
             if len(memo) < _MEMO_BOUND:
                 memo[key] = coefficients
         if reference is None:

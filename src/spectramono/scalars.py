@@ -121,23 +121,39 @@ def rational_sqrt(q):
 
 # the most values of a that two_square_root tries, about 0.25 s of search
 TWO_SQUARE_CANDIDATES = 1 << 20
+# two_square_root divides out the odd numbers 3 mod 4 below this before its search
+TWO_SQUARE_TRIAL_BOUND = 1000
 
 
 def two_square_root(q):
     """Some exact Gaussian scalar u with |u|^2 == q, or None when none exists.
 
     A positive rational p/r (reduced) is a sum of two rational squares exactly
-    when p*r is a sum of two integer squares a^2 + b^2. The search is brute
-    force over a from isqrt(p*r) down to a >= b, so the largest a is found
-    first. It tries at most TWO_SQUARE_CANDIDATES values, since the range
-    grows with sqrt(p*r); a search that ends there without an answer is an
-    InputError, not a claim that none exists.
+    when p*r is a sum of two integer squares a^2 + b^2, that is when every
+    prime 3 mod 4 divides p*r to an even power. So None comes at once when
+    the odd part of p*r is 3 mod 4, or when trial division by the odd
+    numbers 3 mod 4 below TWO_SQUARE_TRIAL_BOUND, each divided out in full
+    in increasing order (so only primes divide), finds an odd power. The
+    search is brute force over a from isqrt(p*r) down to a >= b, so the
+    largest a is found first. It tries at most TWO_SQUARE_CANDIDATES
+    values, since the range grows with sqrt(p*r); a search that ends there
+    without an answer is an InputError, not a claim that none exists.
     """
     q = rational(q)
     if q <= 0:
         return None
     num, den = int(q.numerator), int(q.denominator)
     target = num * den
+    odd = target >> ((target & -target).bit_length() - 1)
+    if odd % 4 == 3:
+        return None
+    for p in range(3, TWO_SQUARE_TRIAL_BOUND, 4):
+        power = 0
+        while odd % p == 0:
+            odd //= p
+            power += 1
+        if power % 2:
+            return None
     top = math.isqrt(target)
     bottom = math.isqrt((target - 1) // 2)
     for a in range(top, max(bottom, top - TWO_SQUARE_CANDIDATES), -1):

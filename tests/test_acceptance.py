@@ -44,8 +44,10 @@ from spectramono.core import (
     Selector,
     Tournament,
     apply_selector,
+    c_representation,
     i_representation,
     substructure,
+    transitive_tournament,
 )
 from spectramono.documents import serialize_document
 from spectramono.monomorphy import is_k_spectrally_monomorphic, pouzet_transfer_check
@@ -291,4 +293,26 @@ def test_criterion_13_all_k_profile_at_hat_paley_eleven(tmp_path, capsys):
         assert result["subsets_checked"] == comb(12, k)
         expected = closed_form_deletion_poly(2, 12 - k).coefficient_strings()
         assert result["common_poly"]["coefficients"] == expected
+    assert elapsed < 5.0, f"took {elapsed:.3f}s"
+
+
+def test_criterion_14_twisted_transitive_c_representation_at_mid_k(tmp_path, capsys):
+    """check --k 8 and then --k 12 on the c-representation (label
+    3/5+4/5i) of the transitive tournament on 16 vertices, twisted by unit
+    values: exit 0 and all C(16, k) subsets checked, in under 5 s together.
+    The twist makes nearly every slice differ from the others, while
+    their norms and phase products stay those of the untwisted slices."""
+    label = GaussianScalar.exact("3/5", "4/5")
+    g = c_representation(transitive_tournament(16), label)
+    g = apply_selector(g, genutil.random_unit_selector(genutil.rng(14), 16))
+    path = tmp_path / "twisted_transitive16.json"
+    path.write_text(serialize_document(g))
+    start = time.monotonic()
+    for k in (8, 12):
+        code = main(["check", "--input", str(path), "--k", str(k)])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0, result
+        assert result["monomorphic"]
+        assert result["subsets_checked"] == comb(16, k)
+    elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.3f}s"

@@ -607,6 +607,19 @@ def _approx_twisted_c_rep_hat_paley7():
     return genutil.approx_copy(apply_selector(g, twist))
 
 
+def _twisted_scaled_c_rep_zero_label():
+    """The c-representation (label 3/5+4/5i) of a transitive tournament on
+    8 vertices, twisted by Pythagorean units with scale 9/4, with the pair
+    (0, 7) set to 0: every k sweeps many gauge-equivalent slices, none of
+    them equal, before the first subset that holds the zero."""
+    pool = PYTHAGOREAN_TWIST.values
+    twist = Selector([pool[(5 * x + 1) % len(pool)] for x in range(8)], rational("9/4"))
+    g = apply_selector(c_representation(transitive_tournament(8), UNIT_C), twist)
+    rows = [list(row) for row in g.labels]
+    rows[0][7] = rows[7][0] = GaussianScalar.exact(0)
+    return HermitianStructure(rows)
+
+
 def _jittered(seed, n):
     return genutil.jittered_c_representations(count=1, seed=seed, n=n)[0][1]
 
@@ -618,7 +631,10 @@ class TestGoldenBytes:
     existed. The classify and c3 reports, on labels with denominators, hold
     the bytes of the Fraction arithmetic that came before the cleared
     Gaussian-integer label matrix. The approx reports hold the float
-    rounding of the recurrence that formed every entry of each power."""
+    rounding of the recurrence that formed every entry of each power. The
+    all-k report on a scaled, twisted c-representation with a zero label
+    holds the bytes of the enumeration that keyed its memo on raw slices
+    only."""
 
     def _out(self, tmp_path, capsys, name, value, *argv):
         path = write_doc(tmp_path, name + ".in.json", value)
@@ -677,6 +693,12 @@ class TestGoldenBytes:
                 "check_k5_approx_jittered",
                 lambda: _jittered(10, 7),
                 ("check", "--k", "5"),
+                1,
+            ),
+            (
+                "all_k_twisted_scaled_zero_label",
+                _twisted_scaled_c_rep_zero_label,
+                ("check", "--all-k"),
                 1,
             ),
         ],

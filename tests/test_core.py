@@ -658,11 +658,13 @@ class TestAreEquivalent:
         assert apply_selector(g, report.witness) == h
 
     def test_huge_modulus_answers_fast(self):
-        """|delta|^2 = 10^24 + 7 is beyond the two-square search, which
-        would take hours: the report says no witness was searched, not that
-        none exists, and comes back at once."""
+        """|delta|^2 = 1000000000039 * 1000000000063 is beyond the
+        two-square search, which would take hours: both primes are 3 mod 4,
+        so no witness exists, but nothing short of factoring shows it. The
+        report says no witness was searched, not that none exists, and
+        comes back at once."""
         g = constant_structure(3, ONE)
-        h = constant_structure(3, GaussianScalar.exact(10**24 + 7))
+        h = constant_structure(3, GaussianScalar.exact(1000000000039 * 1000000000063))
         start = time.perf_counter()
         report = are_equivalent(g, h)
         assert time.perf_counter() - start < 1.0
@@ -670,6 +672,17 @@ class TestAreEquivalent:
         assert report.witness is None
         assert "no exact witness was searched" in report.note
         assert "exists" not in report.note
+
+    def test_obstructed_modulus_answers_at_once(self):
+        """|delta|^2 = 10^24 + 7 is 3 mod 4, so no Gaussian rational has it
+        as its modulus squared: the report says so without a search."""
+        h = constant_structure(3, GaussianScalar.exact(10**24 + 7))
+        start = time.perf_counter()
+        report = are_equivalent(constant_structure(3, ONE), h)
+        assert time.perf_counter() - start < 0.05
+        assert report.equivalent
+        assert report.witness is None
+        assert "no exact witness exists" in report.note
 
     def test_irrational_scale_note(self):
         g = hermitian({(0, 1): ONE}, 2)

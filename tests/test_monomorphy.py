@@ -222,7 +222,8 @@ def test_enumeration_matches_char_poly_of_substructures(monkeypatch):
 
 
 class TestContentMemo:
-    """Exact enumeration reduces each distinct submatrix once per call."""
+    """Exact enumeration reduces each distinct submatrix, and each gauge
+    class of submatrices, once per call."""
 
     def test_i_representation_runs_at_most_eight_recurrences(self, monkeypatch):
         """3-subsets of an i-representation carry three labels +-i, so at
@@ -245,11 +246,14 @@ class TestContentMemo:
         assert calls == [3] * 20
 
     def test_memo_stops_inserting_at_its_bound(self, monkeypatch):
-        """Pair subsets in colex order: the first bound + 1 carry distinct
-        entries, the next repeats the last of those, and all later ones
-        repeat the first. The memo holds the first bound entries only, so
-        the repeat of an entry seen after it filled is reduced again, and
-        the repeats of the first entry never are."""
+        """Pair subsets in colex order, whose gauge class is the norm of
+        their label: the first bound + 1 carry distinct entries (0, 1, ...,
+        bound), the next carries i * bound, then bound + 1 comes twice, and
+        all later ones repeat the first. The entry memo holds 0..bound - 1
+        and the class memo, which 0 cannot enter, the norms of 1..bound.
+        So i * bound is a class hit, the repeat of bound + 1, seen after
+        both memos filled, is reduced again, and the repeats of the first
+        entry never are."""
         bound = monomorphy._MEMO_BOUND
         calls = []
 
@@ -262,14 +266,157 @@ class TestContentMemo:
         while n * (n - 1) // 2 < bound + 40:
             n += 1
         m = [[(0, 0)] * n for _ in range(n)]
+        tail = [(0, bound), (bound + 1, 0), (bound + 1, 0)]
         for index, (a, b) in enumerate(colex_subsets(n, 2)):
-            value = index if index <= bound else bound if index == bound + 1 else 0
-            m[a][b] = m[b][a] = (value, 0)
+            if index <= bound:
+                value = (index, 0)
+            elif index - bound - 1 < len(tail):
+                value = tail[index - bound - 1]
+            else:
+                value = (0, 0)
+            m[a][b] = value
+            m[b][a] = (value[0], -value[1])
         report = monomorphy._enumerate(m, 1, 2, None)
         assert report.monomorphic
         assert report.subsets_checked == n * (n - 1) // 2
         assert report.common_poly == RealPolynomial([-1, 0, 1], EXACT)
-        assert calls == [(v, 0) for v in range(bound + 1)] + [(bound, 0)]
+        assert calls == [(v, 0) for v in range(bound + 1)] + [(bound + 1, 0)] * 2
+
+
+def _twisted_families(r):
+    """Exact structures twisted by genutil.random_selector (unit or modulus
+    5 values, scale 1, 4, 9, 1/4 or 9/4): c-representations with label
+    3/5+4/5i, i-representations and constants, of random and transitive
+    tournaments, each also with one pair set to 0 and with one pair
+    changed; and random Hermitian structures, which are not 2-monomorphic."""
+
+    def twisted(g):
+        return apply_selector(g, genutil.random_selector(r, g.n))
+
+    def zeroed(g):
+        u, v = sorted(r.sample(range(g.n), 2))
+        if r.random() < 0.5:
+            u = 0  # a zero in the lead row of every subset holding both
+        rows = [list(row) for row in g.labels]
+        rows[u][v] = rows[v][u] = GaussianScalar.exact(0)
+        return HermitianStructure(rows)
+
+    for n in range(4, 9):
+        value = GaussianScalar.exact(genutil.random_rational(r) or 1)
+        bases = [
+            c_representation(transitive_tournament(n), UNIT_C),
+            c_representation(genutil.random_tournament(r, n), UNIT_C),
+            i_representation(transitive_tournament(n)),
+            i_representation(genutil.random_tournament(r, n)),
+            constant_structure(n, value),
+        ]
+        for g in bases:
+            g = twisted(g)
+            yield g
+            yield zeroed(g)
+            yield _with_one_pair_changed(r, g)
+        yield genutil.random_hermitian(r, n)
+
+
+def _expected_report(g, k):
+    polys, witness, checked, fragile = _substructure_enumeration(g, k)
+    if witness is None:
+        return monomorphy.MonomorphyReport(
+            k=k, monomorphic=True, common_poly=polys[0], subsets_checked=checked
+        )
+    return monomorphy.MonomorphyReport(
+        k=k,
+        monomorphic=False,
+        witness=witness,
+        witness_polys=polys,
+        subsets_checked=checked,
+        fragile=fragile,
+    )
+
+
+def _real_structure(n, labels):
+    """The structure with the given real label on each pair (u, v), u < v."""
+    rows = [[GaussianScalar.exact(0)] * n for _ in range(n)]
+    for (u, v), value in labels.items():
+        rows[u][v] = rows[v][u] = GaussianScalar.exact(value)
+    return HermitianStructure(rows)
+
+
+class TestGaugeClassMemo:
+    """On a miss of the entry memo, exact enumeration keys a subset by the
+    norms and phase products of its lead row (_class_key), so twisted and
+    relabelled copies of a slice share one recurrence."""
+
+    def test_reports_match_char_poly_of_substructures(self, monkeypatch):
+        """Full reports of is_k_spectrally_monomorphic and
+        monomorphy_profile for every k equal the colex loop of char_poly
+        on every substructure."""
+        keys = []
+        class_key = monomorphy._class_key
+
+        def recording(m, subset):
+            keys.append(class_key(m, subset))
+            return keys[-1]
+
+        monkeypatch.setattr(monomorphy, "_class_key", recording)
+        class_hits = negatives_after_class_hits = 0
+        for g in _twisted_families(genutil.rng(111)):
+            profile = monomorphy_profile(g)
+            for k in range(1, g.n + 1):
+                keys.clear()
+                expected = _expected_report(g, k)
+                assert is_k_spectrally_monomorphic(g, k) == expected
+                assert profile[k] == expected
+                keyed = [key for key in keys if key is not None]
+                hits = len(keyed) - len(set(keyed))
+                class_hits += hits
+                if hits and not expected.monomorphic:
+                    negatives_after_class_hits += 1
+        assert class_hits >= 1000
+        assert negatives_after_class_hits >= 50
+
+    def test_norms_separate_equal_phase_products(self):
+        """Slices (0, 1, 2), labels 1, 1, 4, and (0, 1, 3), labels 1, 2, 2,
+        share the phase product W_0 = 4 but not their norms, and their
+        polynomials x^3 - 18x - 8 and x^3 - 9x - 8 differ: a key without
+        the norms would report the witness only at (1, 2, 3)."""
+        labels = {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 4, (1, 3): 2, (2, 3): 2}
+        g = _real_structure(4, labels)
+        m, _ = g._matrix
+        first = monomorphy._class_key(m, (0, 1, 2))
+        second = monomorphy._class_key(m, (0, 1, 3))
+        assert first[2:] == second[2:] == ((4, 0),)
+        assert first[:2] == (1, 1) and second[:2] == (1, 4)
+        report = is_k_spectrally_monomorphic(g, 3)
+        assert report == _expected_report(g, 3)
+        assert report.witness == ((0, 1, 2), (0, 1, 3))
+        assert [p.coefficients for p in report.witness_polys] == [(-8, -18, 0, 1), (-8, -9, 0, 1)]
+
+    def test_zero_in_lead_row_has_no_class_key(self):
+        """With a(0, 1) = 0, slices (0, 1, 2) and (0, 1, 3) have the same
+        norms from 0 and phase products 0, yet x^3 - 2x and x^3 - 5x differ:
+        a(1, 2) and a(1, 3) enter no such key, so none is formed."""
+        labels = {(0, 1): 0, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 2, (2, 3): 1}
+        g = _real_structure(4, labels)
+        m, _ = g._matrix
+        assert monomorphy._class_key(m, (0, 1, 2)) is None
+        assert monomorphy._class_key(m, (0, 2, 3)) is not None
+        report = is_k_spectrally_monomorphic(g, 3)
+        assert report == _expected_report(g, 3)
+        assert report.witness == ((0, 1, 2), (0, 1, 3))
+
+    def test_twisted_i_representation_runs_at_most_two_recurrences(self, monkeypatch):
+        """Every phase product of a 3-subset of an i-representation is i or
+        -i times one modulus, twisted or not: two gauge classes."""
+        calls = _counting_recurrence(monkeypatch)
+        r = genutil.rng(112)
+        for _ in range(20):
+            calls.clear()
+            g = i_representation(genutil.random_tournament(r, 7))
+            g = apply_selector(g, genutil.random_selector(r, 7))
+            report = is_k_spectrally_monomorphic(g, 3)
+            assert report.monomorphic and report.subsets_checked == 35
+            assert 1 <= len(calls) <= 2
 
 
 def test_downward_transfer():

@@ -1,6 +1,7 @@
 """Tests for exact/approx Gaussian scalars and the rational helpers."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from spectramono.scalars import (
     APPROX,
     EXACT,
     TWO_SQUARE_CANDIDATES,
+    TWO_SQUARE_TRIAL_BOUND,
     GaussianScalar,
     close,
     get_eps,
@@ -126,15 +128,44 @@ class TestTwoSquareRoot:
     def test_search_is_bounded(self):
         """The search range grows with sqrt(p * r). It stops after
         TWO_SQUARE_CANDIDATES values; a target answered within them is
-        answered however large, and one that is not is refused."""
+        answered however large, and one that is not is refused. The refused
+        and the fully searched targets are products of two primes 3 mod 4
+        above TWO_SQUARE_TRIAL_BOUND: no sum of two squares, but 1 mod 4
+        and without a small factor, so nothing decides them before the
+        search."""
         top = 1 << 40
         for target in (top**2 + 1, rational(top**2 + 9) / 4):
             assert two_square_root(target).modulus_squared() == target
-        for q in (10**24 + 7, rational(10**24 + 7) / 3):
+        huge = 1000000000039 * 1000000000063
+        for q in (huge, rational(huge) / 5):
             with pytest.raises(InputError, match="too large for the two-square search"):
                 two_square_root(q)
         # just inside the bound the whole range is still searched
-        assert two_square_root(2 * TWO_SQUARE_CANDIDATES**2 - 1) is None
+        inside = 1480931 * 1480991
+        assert math.isqrt(inside) - math.isqrt((inside - 1) // 2) < TWO_SQUARE_CANDIDATES
+        assert two_square_root(inside) is None
+
+    def test_obstructions_answer_at_once(self):
+        """10^24 + 7 is 3 mod 4 and 3 * (10^24 + 7) has the single factor
+        3: neither is a sum of two squares, decided without a search."""
+        start = time.perf_counter()
+        for q in (10**24 + 7, rational(10**24 + 7) / 3):
+            assert two_square_root(q) is None
+        assert time.perf_counter() - start < 0.05
+
+    def test_trial_division_keeps_even_powers(self):
+        """Targets with even powers of primes 3 mod 4 and with prime factors
+        above TWO_SQUARE_TRIAL_BOUND (1009, 1013 and 1021 are 1 mod 4, 1019
+        and 1031 are 3 mod 4) are answered as the whole search answers."""
+        assert TWO_SQUARE_TRIAL_BOUND < 1009
+        big = [9 * 1009, 49 * 1013, 3**4 * 7**2 * 1021, 1019 * 1031, 9 * 1019 * 1031]
+        targets = list(range(10**6, 10**6 + 200)) + big
+        for target in targets:
+            representable = any(
+                math.isqrt(target - a * a) ** 2 == target - a * a
+                for a in range(math.isqrt(target) + 1)
+            )
+            assert (two_square_root(target) is not None) == representable, target
 
 
 class TestExactArithmetic:
