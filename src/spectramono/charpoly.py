@@ -18,14 +18,11 @@ fraction-free Bareiss elimination over the Gaussian integers in exact mode
 cross-check rather than a tautology.
 
 In exact mode the same recurrence pass can also accumulate the adjugates
-adj(x_j I - A) at integer points x_j above the spectrum of A. Jacobi's
-complementary minor identity (Horn & Johnson, Matrix Analysis, 0.8.4),
-det adj(xI - A)[T] = P_A(x)^(|T|-1) * P_{A[S]}(x) for T the complement of
-S, then gives every principal submatrix polynomial of order n - 1, n - 2
-or n - 3 at the points from a minor of order 1 to 3. A monic polynomial of
-degree k is fixed by its values at k points, so comparing these values
-decides equality. Large-k enumeration and the deletion spectra use this
-route and check it against polynomials from the recurrence itself.
+adj(x_j I - A) at integer points x_j above the spectrum of A. From them
+_first_deletion_miss checks principal submatrices of order n - 1, n - 2 or
+n - 3 against a target polynomial through Jacobi's complementary minors,
+with the recurrence as its cross-check; large-k enumeration and the
+deletion spectra both use it.
 """
 
 from __future__ import annotations
@@ -295,9 +292,11 @@ def _polynomial(descending, d):
     return RealPolynomial(coefficients[::-1], APPROX if d is None else EXACT)
 
 
-def _matrix_char_poly(a, d):
-    """Characteristic polynomial of a matrix (A, D) in _label_matrix form."""
-    return _polynomial(_recurrence(a, APPROX if d is None else EXACT)[0], d)
+def _horner(descending, x):
+    value = 0
+    for c in descending:
+        value = value * x + c
+    return value
 
 
 def _adjugates(a, count):
@@ -309,16 +308,12 @@ def _adjugates(a, count):
     bound = max(sum(abs(re) + abs(im) for re, im in row) for row in a)
     points = [bound + 1 + j for j in range(1, count + 1)]
     descending, adjugates = _recurrence(a, EXACT, points)
-    values = []
-    for x in points:
-        value = 0
-        for c in descending:
-            value = value * x + c
+    values = [_horner(descending, x) for x in points]
+    for x, value in zip(points, values):
         if value <= 0:
             raise InvariantError(
                 f"characteristic polynomial is {value} at {x}, above the spectrum"
             )
-        values.append(value)
     return RealPolynomial(descending[::-1], EXACT), points, values, adjugates
 
 
@@ -361,6 +356,48 @@ def _complementary_minors(adjugates, n, t, count):
     return minors
 
 
+def _first_deletion_miss(a, adjugates, deletions, descending):
+    """The first of `deletions` whose principal submatrix of the Hermitian
+    Gaussian-integer matrix A does not have the characteristic polynomial
+    with the descending integer coefficients `descending`, as
+    (its index, the descending coefficients it has), or None.
+
+    adjugates is what _adjugates(a, count) returns, with count at least
+    k = n - d, and deletions is a nonempty list of index sets of one size
+    d, 1 <= d <= 3, each deleting the rows and columns of A outside a
+    subset S of size k. By Jacobi's complementary minor identity (Horn &
+    Johnson, Matrix Analysis, 0.8.4), for T the complement of S,
+    det adj(xI - A)[T] = P_A(x)^(d-1) * P_{A[S]}(x), so each deletion costs
+    one minor of order d per point (_complementary_minors) instead of a
+    recurrence of order k. Its minors are compared with P_A(x_j)^(d-1)
+    times the target at the first k points x_j: two monic polynomials of
+    degree k that agree at k points are equal. A deletion whose minors
+    differ is recomputed by the recurrence on A[S] alone, and that
+    polynomial must differ from the target too, or the route is broken and
+    InvariantError is raised; so wrong adjugates or wrong points that move
+    the minors of a deletion with the target polynomial are caught there,
+    and every reported polynomial comes from the recurrence."""
+    _, points, values, adj = adjugates
+    n = len(a)
+    k = n - len(deletions[0])
+    expected = [
+        value ** (n - k - 1) * _horner(descending, x)
+        for x, value in zip(points[:k], values)
+    ]
+    for index, t in enumerate(deletions):
+        if _complementary_minors(adj, n, t, k) == expected:
+            continue
+        keep = [v for v in range(n) if v not in t]
+        coefficients, _ = _recurrence(_principal_submatrix(a, keep), EXACT)
+        if coefficients == descending:
+            raise InvariantError(
+                f"complementary minors of deletion {t} miss the target, "
+                "but its characteristic polynomial does not"
+            )
+        return index, coefficients
+    return None
+
+
 def char_poly(g):
     """Monic characteristic polynomial of the label matrix of g.
 
@@ -372,7 +409,8 @@ def char_poly(g):
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("char_poly takes a HermitianStructure")
-    return _matrix_char_poly(*_label_matrix(g))
+    a, d = _label_matrix(g)
+    return _polynomial(_recurrence(a, APPROX if d is None else EXACT)[0], d)
 
 
 def _det_exact(a, n):

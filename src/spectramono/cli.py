@@ -76,21 +76,29 @@ def _selector_dict(selector):
     }
 
 
+def _witness_fields(result):
+    """The "witness" and "witness_polys" entries of a MonomorphyReport or a
+    NotMonomorphic verdict."""
+    return {
+        "witness": (
+            None
+            if result.witness is None
+            else [_subset_list(s) for s in result.witness]
+        ),
+        "witness_polys": (
+            None
+            if result.witness_polys is None
+            else [_poly_dict(p) for p in result.witness_polys]
+        ),
+    }
+
+
 def _monomorphy_dict(report):
     return {
         "k": report.k,
         "monomorphic": report.monomorphic,
         "common_poly": _poly_dict(report.common_poly),
-        "witness": (
-            None
-            if report.witness is None
-            else [_subset_list(s) for s in report.witness]
-        ),
-        "witness_polys": (
-            None
-            if report.witness_polys is None
-            else [_poly_dict(p) for p in report.witness_polys]
-        ),
+        **_witness_fields(report),
         "subsets_checked": report.subsets_checked,
         "fragile": report.fragile,
     }
@@ -160,16 +168,7 @@ def _variant_dict(variant):
         return "not_monomorphic", {
             "reason": variant.reason,
             "pair": _subset_list(variant.pair),
-            "witness": (
-                None
-                if variant.witness is None
-                else [_subset_list(s) for s in variant.witness]
-            ),
-            "witness_polys": (
-                None
-                if variant.witness_polys is None
-                else [_poly_dict(p) for p in variant.witness_polys]
-            ),
+            **_witness_fields(variant),
         }
     raise InputError(f"unknown classification variant {variant!r}")
 

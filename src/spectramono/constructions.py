@@ -14,9 +14,8 @@ from typing import Optional
 from .charpoly import (
     RealPolynomial,
     _adjugates,
-    _complementary_minors,
-    _matrix_char_poly,
-    _principal_submatrix,
+    _first_deletion_miss,
+    _polynomial,
     char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
     poly_x_squared_minus,
 )
@@ -402,13 +401,11 @@ def verify_deletion_spectra(s, max_deletions=3):
     failure field, when set, is (deleted subset, expected poly, actual poly).
 
     One recurrence pass gives the full polynomial and the adjugates
-    adj(x_j I - A) of A = i * S at n - 1 points x_j. A d-deletion T is then
-    checked through Jacobi's identity: det(adj(x_j I - A)[T]) must equal
-    P_A(x_j)^(d-1) times the closed form at x_j for the first n - d points,
-    which decides equality of the two monic degree-(n - d) polynomials. The
-    first deletion that fails is recomputed by the recurrence alone, which
-    must differ from the closed form, so the failure comes from the same
-    route as before and each route checks the other.
+    adj(x_j I - A) of A = i * S at n - 1 points x_j. The d-deletions for
+    d >= 1 are checked against the closed form by
+    charpoly._first_deletion_miss, through Jacobi's complementary minors
+    and with the recurrence as its cross-check, so a failure polynomial
+    comes from the recurrence on the deletion alone.
     """
     report = validate_sign_matrix(s, "skew_conference")
     if not report.ok:
@@ -428,43 +425,31 @@ def verify_deletion_spectra(s, max_deletions=3):
     # the labels i * s(x, y) as Gaussian-integer pairs; i * S is Hermitian
     # because S is skew
     labels = [[(0, v) for v in row] for row in s.entries]
-    full, points, values, adjugates = _adjugates(labels, n - 1 if max_deletions else 0)
+    adjugates = _adjugates(labels, n - 1 if max_deletions else 0)
+    full = adjugates[0]
     checked = 0
     for d in range(max_deletions + 1):
         expected = closed_form_deletion_poly(t, d)
-        size = n - d
-        # minors decide only against a monic polynomial of the deletion's degree
-        want = None
-        if d > 0 and expected.degree == size and expected.is_monic():
-            want = [
-                value ** (d - 1) * expected.evaluate(x)
-                for value, x in zip(values, points[:size])
-            ]
-        for deleted in colex_subsets(n, d):
-            checked += 1
-            if want is not None and want == _complementary_minors(
-                adjugates, n, deleted, size
-            ):
-                continue
-            if d == 0:
-                actual = full
-            else:
-                keep = [v for v in range(n) if v not in deleted]
-                actual = _matrix_char_poly(_principal_submatrix(labels, keep), 1)
-            if actual != expected:
-                return DeletionSpectraReport(
-                    n=n,
-                    t=t,
-                    max_deletions=max_deletions,
-                    ok=False,
-                    polys_checked=checked,
-                    failure=(deleted, expected, actual),
-                )
-            if want is not None:
-                raise InvariantError(
-                    f"complementary minors of deletion {deleted} disagree with "
-                    "the closed form, but its characteristic polynomial does not"
-                )
+        deletions = list(colex_subsets(n, d))
+        if d == 0:
+            miss = None if full == expected else (0, None)
+        else:
+            # the closed forms have integer coefficients
+            descending = [int(c) for c in reversed(expected.coefficients)]
+            miss = _first_deletion_miss(labels, adjugates, deletions, descending)
+        if miss is None:
+            checked += len(deletions)
+            continue
+        index, coefficients = miss
+        actual = full if d == 0 else _polynomial(coefficients, 1)
+        return DeletionSpectraReport(
+            n=n,
+            t=t,
+            max_deletions=max_deletions,
+            ok=False,
+            polys_checked=checked + index + 1,
+            failure=(deletions[index], expected, actual),
+        )
     return DeletionSpectraReport(
         n=n, t=t, max_deletions=max_deletions, ok=True, polys_checked=checked
     )

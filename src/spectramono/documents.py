@@ -27,6 +27,12 @@ FORMAT_VERSION = "1"
 
 _KINDS = ("hermitian", "tournament", "sign_matrix")
 _KEYS = ("format_version", "kind", "n", "mode", "entries")
+# the integral kinds: the name their messages use, the cells they allow,
+# those cells as the messages spell them, and the constructor of the value
+_INTEGRAL_KINDS = {
+    "tournament": ("tournament", ("0", "1"), "'0' or '1'", Tournament.from_matrix),
+    "sign_matrix": ("sign matrix", ("-1", "0", "1"), "'-1', '0' or '1'", SignMatrix),
+}
 
 
 @dataclass(frozen=True)
@@ -106,30 +112,16 @@ def parse_document(text):
 
     if mode != EXACT:
         raise InputError(f"a {kind} document is integral; mode must be 'exact'")
-    if kind == "tournament":
-        matrix = []
-        for i, row in enumerate(grid):
-            out = []
-            for j, cell in enumerate(row):
-                if cell not in ("0", "1"):
-                    raise InputError(
-                        f"tournament entry ({i},{j}) must be '0' or '1', got {cell!r}"
-                    )
-                out.append(int(cell))
-            matrix.append(out)
-        return LoadedDocument(kind=kind, mode=mode, value=Tournament.from_matrix(matrix))
-
+    name, cells, spelled, build = _INTEGRAL_KINDS[kind]
     matrix = []
     for i, row in enumerate(grid):
-        out = []
         for j, cell in enumerate(row):
-            if cell not in ("-1", "0", "1"):
+            if cell not in cells:
                 raise InputError(
-                    f"sign matrix entry ({i},{j}) must be '-1', '0' or '1', got {cell!r}"
+                    f"{name} entry ({i},{j}) must be {spelled}, got {cell!r}"
                 )
-            out.append(int(cell))
-        matrix.append(out)
-    return LoadedDocument(kind=kind, mode=mode, value=SignMatrix(matrix))
+        matrix.append([int(cell) for cell in row])
+    return LoadedDocument(kind=kind, mode=mode, value=build(matrix))
 
 
 def document_dict(value):

@@ -3,7 +3,7 @@
 import pytest
 
 import genutil
-from spectramono import constructions
+from spectramono import charpoly, constructions
 from spectramono.charpoly import RealPolynomial, char_poly, poly_x_squared_minus
 from spectramono.combinat import colex_subsets
 from spectramono.constructions import (
@@ -405,13 +405,13 @@ class TestDeletionSpectraRoute:
     def test_minors_that_disagree_alone_are_an_invariant_error(self, monkeypatch):
         """A deletion whose minors miss the closed form while its
         characteristic polynomial matches it is a broken route."""
-        minors = constructions._complementary_minors
+        minors = charpoly._complementary_minors
 
         def corrupted(adjugates, n, t, count):
             values = minors(adjugates, n, t, count)
             return [v + 1 for v in values] if t == (2, 5) else values
 
-        monkeypatch.setattr(constructions, "_complementary_minors", corrupted)
+        monkeypatch.setattr(charpoly, "_complementary_minors", corrupted)
         s = skew_adjacency(hat(paley_tournament(7)))
         assert verify_deletion_spectra(s, 1).ok
         with pytest.raises(InvariantError):

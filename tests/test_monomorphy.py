@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import genutil
-from spectramono import monomorphy
+from spectramono import charpoly, monomorphy
 from spectramono.charpoly import RealPolynomial, char_poly, determinant, poly_x_squared_minus
 from spectramono.combinat import colex_subsets
 from spectramono.constructions import hat, paley_tournament
@@ -142,7 +142,10 @@ def _substructure_enumeration(g, k):
         polys.append(poly)
         if len(polys) == 1:
             continue
-        equal, fragile = _compare_polys(polys[0], poly, g.mode)
+        if g.mode == EXACT:
+            equal, fragile = polys[0] == poly, False
+        else:
+            equal, fragile = _compare_polys(polys[0], poly)
         fragile_any = fragile_any or fragile
         if not equal:
             return (polys[0], poly), (subsets[0], subset), len(subsets), fragile_any
@@ -568,7 +571,9 @@ def _with_one_pair_changed(r, g):
 
 def _jacobi_structures():
     """Exact structures on 3 to 9 vertices: positives and negatives with
-    integral, Pythagorean-rational and coprime-denominator labels."""
+    integral, Pythagorean-rational and coprime-denominator labels; then a
+    relabelled hat(Paley-11) twisted by Gaussian units, and a copy of it
+    with one pair changed, so that k = 9, 10, 11 are routed at n = 12."""
     r = genutil.rng(61)
     twist = lambda g: apply_selector(g, genutil.random_selector(r, g.n))
     out = [dominated_paley_seven(), twist(dominated_paley_seven())]
@@ -596,6 +601,14 @@ def _jacobi_structures():
             genutil.random_hermitian(r, n),
         ]
     out.append(_with_one_pair_changed(r, dominated_paley_seven()))
+    perm = list(range(12))
+    r.shuffle(perm)
+    units = genutil.UNIT_POOL[:4]
+    paley = apply_selector(
+        genutil.permuted(i_representation(hat(paley_tournament(11))), perm),
+        Selector([r.choice(units) for _ in range(12)]),
+    )
+    out += [paley, _with_one_pair_changed(r, paley)]
     return out
 
 
@@ -659,8 +672,10 @@ class TestJacobiRoute:
         assert adjugates == [11]
 
     def test_reference_minors_are_checked_against_the_reference_poly(self, monkeypatch):
-        """Points misreported by one leave every subset's minors alike; only
-        the reference check sees that they no longer match its polynomial."""
+        """Points misreported by one leave every subset's minors alike, but
+        no longer equal to the reference polynomial's values at the points
+        claimed: the first compared complement misses, its recurrence
+        matches the reference, and that is an invariant error."""
         build = monomorphy._adjugates
 
         def shifted(a, count):
@@ -678,13 +693,13 @@ class TestJacobiRoute:
     def test_differing_minors_with_equal_polys_are_an_invariant_error(self, monkeypatch):
         """A subset whose minors differ from the reference's while its
         polynomial does not is a broken route, never a witness."""
-        minors = monomorphy._complementary_minors
+        minors = charpoly._complementary_minors
 
         def corrupted(adjugates, n, t, count):
             values = minors(adjugates, n, t, count)
             return [v + 1 for v in values] if 0 in t else values
 
-        monkeypatch.setattr(monomorphy, "_complementary_minors", corrupted)
+        monkeypatch.setattr(charpoly, "_complementary_minors", corrupted)
         g = dominated_paley_seven()
         for k in (5, 6, 7):
             with pytest.raises(InvariantError):
