@@ -107,10 +107,14 @@ class RealPolynomial:
         s = rational(s) if self.mode == EXACT else float(s)
         if not s > 0:
             raise InputError("scale must be positive")
-        return RealPolynomial(
-            [c * s ** (n - j) for j, c in enumerate(self.coefficients)],
-            self.mode,
-        )
+        try:
+            coefficients = [c * s ** (n - j) for j, c in enumerate(self.coefficients)]
+        except OverflowError:
+            # float ** int raises where float * float gives inf
+            coefficients = [math.inf]
+        if self.mode == APPROX and not all(map(math.isfinite, coefficients)):
+            raise InputError("approx scale too large: the scaled coefficients overflow floats")
+        return RealPolynomial(coefficients, self.mode)
 
     def _require_same_mode(self, other):
         if not isinstance(other, RealPolynomial):

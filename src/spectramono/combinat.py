@@ -9,8 +9,9 @@ def colex_subsets(n, k):
     lies in T. This is the canonical enumeration order for witnesses, so it
     is part of the observable contract, not just an implementation detail.
     """
-    if k < 0 or n < 0:
-        raise InputError(f"bad subset parameters n={n}, k={k}")
+    for x in (n, k):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            raise InputError(f"bad subset parameters n={n!r}, k={k!r}")
     if k > n:
         return
     # s[k] = n bounds the top; the successor of s increments the first s[j]

@@ -148,6 +148,8 @@ def common_modulus_squared_of_pairs(pairs, mode):
             if zero:
                 raise NotTwoMonomorphicError(f"label at ({x},{y}) is zero")
             other = re * re + im * im
+            if not exact and not math.isfinite(other):
+                raise InputError("approx labels too large: |label|^2 overflows floats")
             if msq is None:
                 msq = other
                 continue
@@ -266,9 +268,9 @@ class Tournament:
     __slots__ = ("n", "rows")
 
     def __init__(self, n, rows):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"a tournament needs at least one vertex, got {n!r}")
         rows = tuple(int(r) for r in rows)
-        if n < 1:
-            raise InputError("a tournament needs at least one vertex")
         if len(rows) != n:
             raise InputError(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -390,6 +392,8 @@ class Tournament:
 
 def transitive_tournament(n):
     """The order 0 -> 1 -> ... -> n-1 (smaller index beats larger)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError(f"a tournament needs at least one vertex, got {n!r}")
     full = (1 << n) - 1
     return Tournament(n, [(full >> (i + 1)) << (i + 1) for i in range(n)])
 
@@ -400,12 +404,16 @@ def is_transitive(t):
     A tournament is transitive exactly when its out-degrees are pairwise
     distinct, in which case they are a permutation of 0..n-1.
     """
+    if not isinstance(t, Tournament):
+        raise InputError("is_transitive takes a Tournament")
     degrees = [t.out_degree(i) for i in range(t.n)]
     return len(set(degrees)) == t.n
 
 
 def first_three_cycle(t):
     """Lexicographically least (a, b, c) with a -> b -> c -> a, or None."""
+    if not isinstance(t, Tournament):
+        raise InputError("first_three_cycle takes a Tournament")
     for a in range(t.n):
         for b in range(t.n):
             if not t.rows[a] >> b & 1:
@@ -419,6 +427,8 @@ def first_three_cycle(t):
 
 def descending_score_order(t):
     """Vertices sorted by out-degree descending, index ascending on ties."""
+    if not isinstance(t, Tournament):
+        raise InputError("descending_score_order takes a Tournament")
     return tuple(sorted(range(t.n), key=lambda v: (-t.out_degree(v), v)))
 
 

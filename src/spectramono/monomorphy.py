@@ -12,6 +12,7 @@ every characteristic polynomial, and it keeps the class too.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, islice
@@ -35,15 +36,13 @@ from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, rational
 
 
 def _compare_polys(a, b):
-    """(equal, fragile) for two approx polynomials: fragile marks a
-    comparison that sits within 10 * eps of its decision boundary, in
-    either direction."""
-    if len(a.coefficients) != len(b.coefficients):
-        return False, False
+    """(equal, fragile) for two approx coefficient lists of one length:
+    fragile marks a comparison that sits within 10 * eps of its decision
+    boundary, in either direction."""
     eps = get_eps()
     equal = True
     fragile = False
-    for ca, cb in zip(a.coefficients, b.coefficients):
+    for ca, cb in zip(a, b):
         tol = eps * max(1.0, abs(ca), abs(cb))
         diff = abs(ca - cb)
         if diff > tol:
@@ -98,17 +97,6 @@ def _direct_count(n, k):
     return -(-(n**4) // k**4)
 
 
-def _negative_report(k, reference_subset, subset, reference_poly, poly, checked, fragile):
-    return MonomorphyReport(
-        k=k,
-        monomorphic=False,
-        witness=(reference_subset, subset),
-        witness_polys=(reference_poly, poly),
-        subsets_checked=checked,
-        fragile=fragile,
-    )
-
-
 # entries of each per-call memo of _enumerate
 _MEMO_BOUND = 1024
 
@@ -136,22 +124,30 @@ def _class_key(m, subset):
 
 def _enumerate(m, d, k, adjugates):
     """MonomorphyReport for the k-subsets of the (A, D) matrix m of
-    _label_matrix, in colex order.
+    _label_matrix, in colex order, in either arithmetic mode (d None is
+    approx).
 
-    Exact mode compares the integer coefficient lists that _recurrence
-    gives for the submatrices A[S]: with one D and one k, P_A[S] = P_A[T]
-    exactly when P_M[S] = P_M[T]. Two per-call memos stand in front of the
-    recurrence. The first maps the strict upper triangle of A[S], which
-    fixes the Hermitian zero-diagonal A[S], to its list, so each distinct
-    submatrix is reduced once, checks included. On a miss there, the
-    second maps the gauge class of A[S] (_class_key) to its list, so a
-    slice that differs from an earlier one only by a diagonal similarity,
-    as a selector twist makes it, is not reduced again; a slice with a
-    zero in its lead row has no class key. Each
-    memo takes at most 1024 entries (_MEMO_BOUND) and then inserts
-    nothing more, so neither grows with C(n, k). Only the reference, the
-    witness and common_poly become RealPolynomials. Approx mode (see
-    _enumerate_approx) takes no memo.
+    One loop gives each subset S the descending coefficients of P_A[S] and
+    compares them with the reference's, those of the first subset; the
+    first subset that differs is the witness. Only these two steps depend
+    on the mode.
+
+    Exact mode compares the integer coefficient lists with ==: with one D
+    and one k, P_A[S] = P_A[T] exactly when P_M[S] = P_M[T]. Two per-call
+    memos stand in front of the recurrence. The first maps the strict upper
+    triangle of A[S], which fixes the Hermitian zero-diagonal A[S], to its
+    list, so each distinct submatrix is reduced once, checks included. On a
+    miss there, the second maps the gauge class of A[S] (_class_key) to its
+    list, so a slice that differs from an earlier one only by a diagonal
+    similarity, as a selector twist makes it, is not reduced again; a slice
+    with a zero in its lead row has no class key. Each memo takes at most
+    1024 entries (_MEMO_BOUND) and then inserts nothing more, so neither
+    grows with C(n, k).
+
+    Approx mode reduces every subset and compares the float lists with
+    _compare_polys, reporting fragile when any comparison nearly flipped.
+    It takes no memo: float keys would equate -0.0 with 0.0, whose
+    polynomials print differently.
 
     In exact mode with n - k <= 3 and 2k > n, the subsets after the first
     _direct_count(n, k) are checked against the reference's coefficients by
@@ -159,96 +155,66 @@ def _enumerate(m, d, k, adjugates):
     the recurrence as its cross-check. adjugates() gives what _adjugates
     gives for at least k points; it is called at most once, and may be a
     cache shared across k. The reference and witness polynomials come from
-    the recurrence on those subsets alone.
+    the recurrence on those subsets alone, and only they and common_poly
+    become RealPolynomials.
     """
     n = len(m)
-    subsets = colex_subsets(n, k)
-    if d is None:
-        return _enumerate_approx(m, k, subsets)
-    jacobi = n - k <= 3 and 2 * k > n
+    jacobi = d is not None and n - k <= 3 and 2 * k > n
     memo = {}
     classes = {}
-    reference_subset = None
     reference = None
-    checked = 0
-    for subset in islice(subsets, _direct_count(n, k) if jacobi else None):
-        checked += 1
-        key = tuple([m[a][b] for i, a in enumerate(subset) for b in subset[i + 1 :]])
-        coefficients = memo.get(key)
-        if coefficients is None:
-            gauge = _class_key(m, subset)
-            coefficients = classes.get(gauge)
+    monomorphic = True
+    fragile = False
+    subsets = islice(colex_subsets(n, k), _direct_count(n, k) if jacobi else None)
+    for checked, subset in enumerate(subsets, 1):
+        if d is None:
+            coefficients, _ = _recurrence(_principal_submatrix(m, subset), APPROX)
+        else:
+            key = tuple([m[a][b] for i, a in enumerate(subset) for b in subset[i + 1 :]])
+            coefficients = memo.get(key)
             if coefficients is None:
-                coefficients, _ = _recurrence(_principal_submatrix(m, subset), EXACT)
-                if gauge is not None and len(classes) < _MEMO_BOUND:
-                    classes[gauge] = coefficients
-            if len(memo) < _MEMO_BOUND:
-                memo[key] = coefficients
+                gauge = _class_key(m, subset)
+                coefficients = classes.get(gauge)
+                if coefficients is None:
+                    coefficients, _ = _recurrence(_principal_submatrix(m, subset), EXACT)
+                    if gauge is not None and len(classes) < _MEMO_BOUND:
+                        classes[gauge] = coefficients
+                if len(memo) < _MEMO_BOUND:
+                    memo[key] = coefficients
         if reference is None:
-            reference_subset = subset
             reference = coefficients
-        elif coefficients != reference:
-            return _negative_report(
-                k,
-                reference_subset,
-                subset,
-                _polynomial(reference, d),
-                _polynomial(coefficients, d),
-                checked,
-                False,
-            )
-    reference_poly = _polynomial(reference, d)
-    # colex order on k-subsets is reverse colex order on their complements
-    complements = list(colex_subsets(n, n - k))[::-1] if jacobi else ()
-    if checked < len(complements):
-        rest = complements[checked:]
-        miss = _first_deletion_miss(m, adjugates(), rest, reference)
-        if miss is not None:
+            continue
+        if d is None:
+            monomorphic, nearly = _compare_polys(reference, coefficients)
+            fragile = fragile or nearly
+        else:
+            monomorphic = coefficients == reference
+        if not monomorphic:
+            break
+    if jacobi and monomorphic:
+        # colex order on k-subsets is reverse colex order on their complements
+        rest = list(colex_subsets(n, n - k))[::-1][checked:]
+        miss = _first_deletion_miss(m, adjugates(), rest, reference) if rest else None
+        if miss is None:
+            checked += len(rest)
+        else:
             index, coefficients = miss
             subset = tuple(v for v in range(n) if v not in rest[index])
-            return _negative_report(
-                k,
-                reference_subset,
-                subset,
-                reference_poly,
-                _polynomial(coefficients, d),
-                checked + index + 1,
-                False,
-            )
-        checked += len(rest)
-    return MonomorphyReport(
-        k=k, monomorphic=True, common_poly=reference_poly, subsets_checked=checked
-    )
-
-
-def _enumerate_approx(m, k, subsets):
-    """_enumerate for float pairs: every subset gets its own polynomial,
-    compared by _compare_polys so that fragile is reported. No memo: float
-    keys would equate -0.0 with 0.0, whose polynomials print differently."""
-    reference_subset = None
-    reference_poly = None
-    checked = 0
-    fragile_any = False
-    for subset in subsets:
-        checked += 1
-        descending, _ = _recurrence(_principal_submatrix(m, subset), APPROX)
-        poly = _polynomial(descending, None)
-        if reference_poly is None:
-            reference_subset = subset
-            reference_poly = poly
-            continue
-        equal, fragile = _compare_polys(reference_poly, poly)
-        fragile_any = fragile_any or fragile
-        if not equal:
-            return _negative_report(
-                k, reference_subset, subset, reference_poly, poly, checked, fragile_any
-            )
+            monomorphic = False
+            checked += index + 1
+    # the first subset in colex order is the reference, and after a miss
+    # subset and coefficients are the witness's
+    reference_poly = _polynomial(reference, d)
     return MonomorphyReport(
         k=k,
-        monomorphic=True,
-        common_poly=reference_poly,
+        monomorphic=monomorphic,
+        common_poly=reference_poly if monomorphic else None,
+        witness=None if monomorphic else (tuple(range(k)), subset),
+        witness_polys=(
+            None if monomorphic else (reference_poly, _polynomial(coefficients, d))
+        ),
         subsets_checked=checked,
-        fragile=fragile_any,
+        fragile=fragile,
     )
 
 
@@ -286,21 +252,16 @@ def det_constancy(g, p):
     def scalar(value):
         return GaussianScalar(_descaled(value, d, p), 0, g.mode)
 
-    reference_subset = None
     reference = None
-    checked = 0
-    for subset in colex_subsets(g.n, p):
-        checked += 1
+    for checked, subset in enumerate(colex_subsets(g.n, p), 1):
         value = _minor(a, subset, g.mode)[0]
         if reference is None:
-            reference_subset = subset
             reference = value
-            continue
-        if not close(value, reference, g.mode):
+        elif not close(value, reference, g.mode):
             return DetConstancyReport(
                 p=p,
                 constant=False,
-                witness=(reference_subset, subset),
+                witness=(tuple(range(p)), subset),
                 witness_values=(scalar(reference), scalar(value)),
                 subsets_checked=checked,
             )
@@ -342,16 +303,23 @@ def pouzet_transfer_check(table, p, r, n=None):
         raise InputError(f"p must be a positive int, got {p!r}")
     if not isinstance(r, int) or isinstance(r, bool) or r < 0:
         raise InputError(f"r must be a nonnegative int, got {r!r}")
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
+        raise InputError(f"n must be an int, got {n!r}")
+    if not isinstance(table, Mapping):
+        raise InputError("table must map p-subsets to values")
     entries = {}
     top = -1
     for key, value in table.items():
-        key = tuple(key)
-        if len(key) != p or len(set(key)) != p or sorted(key) != list(key):
-            raise InputError(f"table key {key!r} is not a sorted {p}-subset")
+        try:
+            key = tuple(key)
+        except TypeError:
+            raise InputError(f"table key {key!r} is not a sorted {p}-subset") from None
         for v in key:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputError(f"table key {key!r} has a bad vertex")
             top = max(top, v)
+        if len(key) != p or len(set(key)) != p or sorted(key) != list(key):
+            raise InputError(f"table key {key!r} is not a sorted {p}-subset")
         entries[key] = rational(value)
     if n is None:
         n = top + 1
@@ -359,43 +327,36 @@ def pouzet_transfer_check(table, p, r, n=None):
         raise InputError(f"table mentions vertex {top} but n={n}")
     if n < p + r:
         raise InputError(f"need n >= p + r, got n={n}, p={p}, r={r}")
+    # one walk requires every p-subset and looks for one that differs from
+    # the first in colex order, (0, ..., p - 1)
+    constant_value = entries.get(tuple(range(p)))
+    conclusion_witness = None
     for subset in colex_subsets(n, p):
-        if subset not in entries:
+        value = entries.get(subset)
+        if value is None:
             raise InputError(f"table is missing the {p}-subset {subset}")
+        if conclusion_witness is None and value != constant_value:
+            conclusion_witness = (tuple(range(p)), subset)
 
-    hypothesis = True
-    hypothesis_witness = None
     window_sum = None
-    reference_window = None
+    hypothesis_witness = None
     for window in colex_subsets(n, p + r):
         total = sum(entries[sub] for sub in combinations(window, p))
         if window_sum is None:
             window_sum = total
-            reference_window = window
         elif total != window_sum:
-            hypothesis = False
-            hypothesis_witness = (reference_window, window)
-            break
-
-    conclusion = True
-    conclusion_witness = None
-    first_key = next(iter(colex_subsets(n, p)))
-    constant_value = entries[first_key]
-    for subset in colex_subsets(n, p):
-        if entries[subset] != constant_value:
-            conclusion = False
-            conclusion_witness = (first_key, subset)
+            hypothesis_witness = (tuple(range(p + r)), window)
             break
 
     return WindowTransferReport(
         n=n,
         p=p,
         r=r,
-        hypothesis_holds=hypothesis,
-        conclusion_holds=conclusion,
+        hypothesis_holds=hypothesis_witness is None,
+        conclusion_holds=conclusion_witness is None,
         lemma_applicable=n >= 2 * p + r,
-        window_sum=window_sum if hypothesis else None,
-        constant_value=constant_value if conclusion else None,
+        window_sum=None if hypothesis_witness else window_sum,
+        constant_value=None if conclusion_witness else constant_value,
         hypothesis_witness=hypothesis_witness,
         conclusion_witness=conclusion_witness,
     )

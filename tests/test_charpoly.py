@@ -88,6 +88,18 @@ class TestRealPolynomial:
         with pytest.raises(InputError):
             poly_x_squared_minus(1).scaled(0)
 
+    def test_scaled_float_overflow_is_an_input_error(self):
+        """A scale whose powers, or whose products with the coefficients,
+        overflow floats is refused rather than raising OverflowError or
+        returning infinite coefficients."""
+        for poly, s in (
+            (poly_x_squared_minus(1, APPROX), 1e300),
+            (RealPolynomial([1e300, 0.0, 1.0], APPROX), 1e10),
+        ):
+            with pytest.raises(InputError, match="approx scale too large"):
+                poly.scaled(s)
+        assert poly_x_squared_minus(1).scaled(10**300).coefficients[0] == -(10**600)
+
     def test_mode_mix(self):
         with pytest.raises(ModeMixError):
             exact_poly(1).multiply(RealPolynomial([1.0], APPROX))

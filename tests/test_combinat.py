@@ -17,7 +17,12 @@ def test_matches_definition():
             assert list(colex_subsets(n, k)) == expected, (n, k)
 
 
-@pytest.mark.parametrize("n, k", [(-1, 0), (3, -1), (-2, -2)])
+@pytest.mark.parametrize(
+    "n, k",
+    [(-1, 0), (3, -1), (-2, -2), (2.5, 1), ("3", 1), (3, 1.0), (3, True), (True, 1)],
+)
 def test_negative_parameters(n, k):
+    """Negative, non-int and bool parameters are rejected at the first
+    subset; a float n used to yield subsets without end."""
     with pytest.raises(InputError, match="bad subset parameters"):
-        list(colex_subsets(n, k))
+        next(colex_subsets(n, k))

@@ -301,6 +301,29 @@ class TestTournament:
         assert descending_score_order(transitive_tournament(4)) == (0, 1, 2, 3)
         assert descending_score_order(THREE_CYCLE) == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: is_transitive(3), "takes a Tournament"),
+            (lambda: first_three_cycle(3), "takes a Tournament"),
+            (lambda: descending_score_order(3), "takes a Tournament"),
+            (lambda: transitive_tournament(-1), "at least one vertex"),
+            (lambda: transitive_tournament("3"), "at least one vertex"),
+            (lambda: Tournament(True, [0]), "at least one vertex"),
+        ],
+        ids=[
+            "is_transitive",
+            "first_three_cycle",
+            "descending_score_order",
+            "negative_order",
+            "str_order",
+            "bool_order",
+        ],
+    )
+    def test_bad_arguments_are_input_errors(self, call, message):
+        with pytest.raises(InputError, match=message):
+            call()
+
 
 class TestSelector:
     def test_rejects_zero_value(self):
@@ -587,6 +610,15 @@ class TestAreEquivalent:
                 are_equivalent(_huge_approx(v), _huge_approx(v))
         with pytest.raises(InputError, match="must be finite"):
             normalize_at(_huge_approx(1e110), 0)
+
+    def test_labels_whose_square_overflows_are_input_errors(self):
+        """|label|^2 overflowing floats gave inf - inf = nan and a wrong
+        "different moduli" verdict; it is refused as input instead."""
+        for g in (constant_structure(3, GaussianScalar.approx(1e200)), _huge_approx(1e160)):
+            with pytest.raises(InputError, match="approx labels too large"):
+                are_equivalent(g, g)
+            with pytest.raises(InputError, match="approx labels too large"):
+                g.common_modulus_squared()
 
     def test_reflexive(self):
         g = i_representation(THREE_CYCLE)

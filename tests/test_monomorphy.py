@@ -145,7 +145,7 @@ def _substructure_enumeration(g, k):
         if g.mode == EXACT:
             equal, fragile = polys[0] == poly, False
         else:
-            equal, fragile = _compare_polys(polys[0], poly)
+            equal, fragile = _compare_polys(polys[0].coefficients, poly.coefficients)
         fragile_any = fragile_any or fragile
         if not equal:
             return (polys[0], poly), (subsets[0], subset), len(subsets), fragile_any
@@ -497,8 +497,9 @@ class TestPouzetTransfer:
         table[(0, 1)] = 1
         report = pouzet_transfer_check(table, 2, 1, n=5)
         assert not report.hypothesis_holds
-        assert report.hypothesis_witness is not None
+        assert report.hypothesis_witness == ((0, 1, 2), (0, 2, 3))
         assert not report.conclusion_holds
+        assert report.conclusion_witness == ((0, 1), (0, 2))
 
     def test_single_window_is_vacuous(self):
         """With n = p + r there is one window: the hypothesis cannot fail,
@@ -529,8 +530,23 @@ class TestPouzetTransfer:
     def test_missing_subset(self):
         table = {z: 1 for z in combinations(range(5), 2)}
         del table[(1, 3)]
-        with pytest.raises(InputError):
+        table[(0, 1)] = 2
+        with pytest.raises(InputError, match="missing the 2-subset"):
             pouzet_transfer_check(table, 2, 1, n=5)
+
+    @pytest.mark.parametrize(
+        "table, n, message",
+        [
+            ({(0, 1): 1, (0, 2): 1, (1, 2): 1}, "3", "n must be an int"),
+            ({(0, 1): 1, (0, 2): 1, (1, 2): 1}, True, "n must be an int"),
+            ([((0, 1), 1), ((0, 2), 1), ((1, 2), 1)], 3, "table must map"),
+            ({0: 1, (0, 2): 1, (1, 2): 1}, 3, "not a sorted"),
+            ({("a", 1): 1, (0, 2): 1, (1, 2): 1}, 3, "bad vertex"),
+        ],
+    )
+    def test_bad_arguments(self, table, n, message):
+        with pytest.raises(InputError, match=message):
+            pouzet_transfer_check(table, 2, 1, n)
 
     def test_unsorted_key(self):
         with pytest.raises(InputError):
