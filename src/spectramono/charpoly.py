@@ -32,7 +32,7 @@ import math
 from .combinat import colex_subsets
 from .core import HermitianStructure, _descaled, _label_matrix
 from .errors import InputError, InvariantError, ModeMixError
-from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, negligible, rational
+from .scalars import APPROX, EXACT, GaussianScalar, close, negligible, real
 
 
 class RealPolynomial:
@@ -43,10 +43,7 @@ class RealPolynomial:
     def __init__(self, coefficients, mode):
         if mode not in (EXACT, APPROX):
             raise InputError(f"unknown polynomial mode {mode!r}")
-        if mode == EXACT:
-            coeffs = [rational(c) for c in coefficients]
-        else:
-            coeffs = [float(c) for c in coefficients]
+        coeffs = [real(c, mode) for c in coefficients]
         if not coeffs:
             raise InputError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -62,18 +59,11 @@ class RealPolynomial:
         return len(self.coefficients) - 1
 
     def is_monic(self):
-        lead = self.coefficients[-1]
-        if self.mode == EXACT:
-            return lead == 1
-        return abs(lead - 1.0) <= get_eps()
+        return negligible(self.coefficients[-1] - 1, 0, self.mode)
 
     def evaluate(self, x):
-        if self.mode == EXACT:
-            x = rational(x)
-            acc = rational(0)
-        else:
-            x = float(x)
-            acc = 0.0
+        x = real(x, self.mode)
+        acc = real(0, self.mode)
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
@@ -81,8 +71,7 @@ class RealPolynomial:
     def multiply(self, other):
         self._require_same_mode(other)
         a, b = self.coefficients, other.coefficients
-        zero = rational(0) if self.mode == EXACT else 0.0
-        out = [zero] * (len(a) + len(b) - 1)
+        out = [real(0, self.mode)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
@@ -104,7 +93,7 @@ class RealPolynomial:
         """s^n * P(x / s) for a positive real scale s: the characteristic
         polynomial transform under a selector of modulus squared s."""
         n = self.degree
-        s = rational(s) if self.mode == EXACT else float(s)
+        s = real(s, self.mode)
         if not s > 0:
             raise InputError("scale must be positive")
         try:
@@ -126,14 +115,8 @@ class RealPolynomial:
         if not isinstance(other, RealPolynomial):
             return NotImplemented
         self._require_same_mode(other)
-        if self.mode == EXACT:
-            return self.coefficients == other.coefficients
-        if len(self.coefficients) != len(other.coefficients):
-            return False
-        return all(
-            close(a, b, APPROX)
-            for a, b in zip(self.coefficients, other.coefficients)
-        )
+        a, b = self.coefficients, other.coefficients
+        return len(a) == len(b) and all(close(x, y, self.mode) for x, y in zip(a, b))
 
     def __hash__(self):
         if self.mode == APPROX:
@@ -147,12 +130,8 @@ class RealPolynomial:
             c = self.coefficients[k]
             if c == 0:
                 continue
-            if self.mode == EXACT:
-                negative = c < 0
-                body = str(abs(c))
-            else:
-                negative = c < 0.0
-                body = repr(abs(c))
+            negative = c < 0
+            body = str(abs(c))
             if k > 0 and body == "1":
                 body = ""
             if k == 1:
@@ -164,10 +143,9 @@ class RealPolynomial:
         return "".join(terms) if terms else "0"
 
     def coefficient_strings(self):
-        """Ascending coefficient literals for reports, exact and replayable."""
-        if self.mode == EXACT:
-            return [str(c) for c in self.coefficients]
-        return [repr(c) for c in self.coefficients]
+        """Ascending coefficient literals for reports, exact and replayable:
+        str of a float is its repr."""
+        return [str(c) for c in self.coefficients]
 
     def __repr__(self):
         return f"RealPolynomial({self.to_display()!r}, mode={self.mode!r})"
@@ -178,9 +156,7 @@ class RealPolynomial:
 
 def poly_x_squared_minus(constant, mode=EXACT):
     """x^2 - constant, a convenience for spectral closed forms."""
-    if mode == EXACT:
-        return RealPolynomial([-rational(constant), 0, 1], EXACT)
-    return RealPolynomial([-float(constant), 0.0, 1.0], APPROX)
+    return RealPolynomial([-real(constant, mode), 0, 1], mode)
 
 
 def _principal_submatrix(m, vertices):

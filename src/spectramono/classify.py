@@ -27,7 +27,6 @@ from .core import (
     Tournament,
     _built_selector,
     _descaled,
-    _too_close,
     common_modulus_squared_of_pairs,
     constant_structure,
     descending_score_order,
@@ -52,7 +51,7 @@ from .errors import (
     TheoremRangeError,
 )
 from .monomorphy import is_k_spectrally_monomorphic
-from .scalars import EXACT, GaussianScalar, get_eps, negligible, rational
+from .scalars import EXACT, GaussianScalar, _pairs_match, _too_close, negligible, real
 
 
 @dataclass(frozen=True)
@@ -75,20 +74,9 @@ class CanonicalReduction:
     selector: Selector
 
 
-def _matches(a, b, mode):
-    """Compare two (re, im) component pairs: literally in exact mode, within
-    eps relative to the larger component in approx mode."""
-    if mode == EXACT:
-        return a == b
-    eps = get_eps()
-    scale = max(1.0, abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
-    return abs(a[0] - b[0]) <= eps * scale and abs(a[1] - b[1]) <= eps * scale
-
-
 def _scalar(pair, q, mode):
     """The GaussianScalar pair / q for a positive real q."""
-    if mode == EXACT:
-        q = rational(q)
+    q = real(q, mode)
     return GaussianScalar(pair[0] / q, pair[1] / q, mode)
 
 
@@ -107,7 +95,7 @@ def _check_reapplied(m, d, rows, gamma, gamma_bar, mode, target_scale):
     """Re-apply the selector: raise unless
     d(x) * c(x, y) * conj(d(y)) == target_scale * g(x, y) at every ordered
     pair x != y, where c(x, y) is gamma on the arcs in rows and gamma_bar
-    against them, by the rule of _matches.
+    against them, by the rule of _pairs_match.
 
     A failure is a broken invariant in exact mode and _too_close input in
     approx mode."""
@@ -120,7 +108,7 @@ def _check_reapplied(m, d, rows, gamma, gamma_bar, mode, target_scale):
             re, im = m[x][y]
             want = (re * target_scale, im * target_scale)
             got = pair_product(d[x], c, d[y])
-            if got == want or _matches(got, want, mode):
+            if got == want or _pairs_match(got, want, mode):
                 continue
             if mode != EXACT:
                 raise _too_close(f"the reduced form misses the input at ({x},{y})")
@@ -172,7 +160,7 @@ def reduce_to_canonical_labels(g):
     gamma = phases[1, 2]
     gamma_bar = (gamma[0], -gamma[1])
     for (u, v), w in phases.items():
-        if not (_matches(w, gamma, mode) or _matches(w, gamma_bar, mode)):
+        if not (_pairs_match(w, gamma, mode) or _pairs_match(w, gamma_bar, mode)):
             raise ReductionError(
                 "phase_outside_pair",
                 f"phase product at pair ({u},{v}) is "
@@ -193,7 +181,7 @@ def reduce_to_canonical_labels(g):
     # vertex 0 dominates everything; u beats v when its phase equals gamma
     rows = [((1 << n) - 1) & ~1] + [0] * (n - 1)
     for (u, v), w in phases.items():
-        if real or _matches(w, gamma, mode):
+        if real or _pairs_match(w, gamma, mode):
             rows[u] |= 1 << v
         else:
             rows[v] |= 1 << u

@@ -41,7 +41,7 @@ from .constructions import (
     validate_sign_matrix,
     verify_deletion_spectra,
 )
-from .core import Tournament, c_representation, i_representation
+from .core import Tournament, c_representation
 from .documents import document_dict, parse_document, render_json
 from .errors import InputError, InvariantError, SpectramonoError, TheoremRangeError
 from .monomorphy import is_k_spectrally_monomorphic, monomorphy_profile
@@ -257,12 +257,7 @@ def _cmd_construct(args):
         t = hat(t)
     if args.rep is None:
         return document_dict(t), EXIT_TRUE
-    label = _parse_rep_label(args.rep)
-    if label.mode == EXACT and label == GaussianScalar.i_unit(EXACT):
-        g = i_representation(t)
-    else:
-        g = c_representation(t, label)
-    return document_dict(g), EXIT_TRUE
+    return document_dict(c_representation(t, _parse_rep_label(args.rep))), EXIT_TRUE
 
 
 def _cmd_validate(args):

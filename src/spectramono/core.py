@@ -26,10 +26,10 @@ from .scalars import (
     APPROX,
     EXACT,
     GaussianScalar,
-    get_eps,
+    _too_close,
     negligible,
     ratio,
-    rational,
+    real,
     rational_sqrt,
     two_square_root,
 )
@@ -42,6 +42,11 @@ class ConstantRepresentationWarning(UserWarning):
 def _check_vertex(n, x, what="vertex"):
     if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
         raise InputError(f"{what} {x!r} out of range for n={n}")
+
+
+def _check_order(n):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError(f"a tournament needs at least one vertex, got {n!r}")
 
 
 class HermitianStructure:
@@ -135,29 +140,19 @@ def common_modulus_squared_of_pairs(pairs, mode):
     n = len(pairs)
     if n < 2:
         raise NotTwoMonomorphicError("no labels on fewer than two vertices")
-    exact = mode == EXACT
-    eps = get_eps()
     msq = None
     for x in range(n):
         for y in range(x + 1, n):
             re, im = pairs[x][y]
-            if exact:
-                zero = re == 0 and im == 0
-            else:
-                zero = abs(re) <= eps and abs(im) <= eps
-            if zero:
+            if negligible(re, 0, mode) and negligible(im, 0, mode):
                 raise NotTwoMonomorphicError(f"label at ({x},{y}) is zero")
             other = re * re + im * im
-            if not exact and not math.isfinite(other):
+            if mode != EXACT and not math.isfinite(other):
                 raise InputError("approx labels too large: |label|^2 overflows floats")
             if msq is None:
                 msq = other
-                continue
-            if exact:
-                same = other == msq
-            else:
-                same = negligible(other - msq, msq, mode)
-            if not same:
+            # the literal test spares equal exact moduli a call
+            elif other != msq and not negligible(other - msq, msq, mode):
                 raise NotTwoMonomorphicError(
                     f"labels at (0,1) and ({x},{y}) have different moduli"
                 )
@@ -200,27 +195,20 @@ def _check_hermitian(a, mode):
     zero diagonal and a(i, j) = conj(a(j, i)), going through i and, after
     the diagonal entry at i, every j > i. Exact pairs compare literally;
     approx pairs by the rule of GaussianScalar.is_zero and ==, each
-    component within eps. A = D * M passes exactly when M does."""
-    exact = mode == EXACT
-    eps = get_eps()
+    component negligible next to 1. A = D * M passes exactly when M does.
+    The literal tests spare valid exact input every call."""
     n = len(a)
     for i in range(n):
         row = a[i]
         re, im = row[i]
-        if exact:
-            zero = re == 0 and im == 0
-        else:
-            zero = abs(re) <= eps and abs(im) <= eps
-        if not zero:
+        if (re or im) and not (negligible(re, 0, mode) and negligible(im, 0, mode)):
             raise InvariantError(f"diagonal entry at {i} must be zero")
         for j in range(i + 1, n):
             re, im = row[j]
             cre, cim = a[j][i]
-            if exact:
-                conjugate = re == cre and im == -cim
-            else:
-                conjugate = abs(re - cre) <= eps and abs(im - (-cim)) <= eps
-            if not conjugate:
+            if (re != cre or im != -cim) and not (
+                negligible(re - cre, 0, mode) and negligible(im + cim, 0, mode)
+            ):
                 raise InvariantError(
                     f"labels at ({i},{j}) and ({j},{i}) are not conjugate"
                 )
@@ -268,9 +256,14 @@ class Tournament:
     __slots__ = ("n", "rows")
 
     def __init__(self, n, rows):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InputError(f"a tournament needs at least one vertex, got {n!r}")
-        rows = tuple(int(r) for r in rows)
+        _check_order(n)
+        try:
+            rows = tuple(rows)
+        except TypeError:
+            raise InputError(f"tournament rows must be an iterable, got {rows!r}") from None
+        for r in rows:
+            if not isinstance(r, int) or isinstance(r, bool):
+                raise InputError(f"tournament rows must be int bitmasks, got {r!r}")
         if len(rows) != n:
             raise InputError(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -317,6 +310,11 @@ class Tournament:
         i beats j. Enumerating code over range(2^(n(n-1)/2)) walks every
         labeled tournament exactly once.
         """
+        _check_order(n)
+        pairs = n * (n - 1) // 2
+        bad = not isinstance(code, int) or isinstance(code, bool)
+        if bad or code < 0 or code.bit_length() > pairs:
+            raise InputError(f"pair code must be an int in 0..2^{pairs} - 1, got {code!r}")
         rows = [0] * n
         bit = 0
         for j in range(n):
@@ -392,8 +390,7 @@ class Tournament:
 
 def transitive_tournament(n):
     """The order 0 -> 1 -> ... -> n-1 (smaller index beats larger)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"a tournament needs at least one vertex, got {n!r}")
+    _check_order(n)
     full = (1 << n) - 1
     return Tournament(n, [(full >> (i + 1)) << (i + 1) for i in range(n)])
 
@@ -458,7 +455,7 @@ class Selector:
                 raise ModeMixError("selector values mix modes")
             if v.is_zero():
                 raise InvariantError("selector values must be nonzero")
-        scale_sq = rational(scale_sq) if mode == EXACT else float(scale_sq)
+        scale_sq = real(scale_sq, mode)
         if not scale_sq > 0:
             raise InvariantError("scale_sq must be positive")
         msq = values[0].modulus_squared()
@@ -491,11 +488,7 @@ class Selector:
         return self.values[0].modulus_squared() * self.scale_sq
 
     def inverse(self):
-        if self.mode == EXACT:
-            inv_scale = 1 / rational(self.scale_sq)
-        else:
-            inv_scale = 1.0 / self.scale_sq
-        return Selector([v.inverse() for v in self.values], inv_scale)
+        return Selector([v.inverse() for v in self.values], 1 / self.scale_sq)
 
     def pointwise_product(self, other):
         if not isinstance(other, Selector):
@@ -516,12 +509,9 @@ class Selector:
             raise ModeMixError("cannot compare selectors of different modes")
         if other.n != self.n:
             return False
-        if self.mode == EXACT:
-            if rational(self.scale_sq) != rational(other.scale_sq):
-                return False
-        else:
-            if abs(self.scale_sq - other.scale_sq) > get_eps():
-                return False
+        s, t = self.scale_sq, other.scale_sq
+        if s != t and not negligible(s - t, 0, self.mode):
+            return False
         return all(a == b for a, b in zip(self.values, other.values))
 
     def __hash__(self):
@@ -531,16 +521,6 @@ class Selector:
 
     def __repr__(self):
         return f"Selector(n={self.n}, mode={self.mode!r}, scale_sq={self.scale_sq})"
-
-
-def _too_close(what):
-    """The InputError for approx labels that pass each tolerance test on
-    their own while a selector built from them drifts further: its error
-    adds up the errors of several labels and phases."""
-    return InputError(
-        f"approx labels sit too close to the tolerance: {what} by more than "
-        f"eps {get_eps()!r}; exact labels or another eps decide it"
-    )
 
 
 def _built_selector(values, scale_sq=1):
@@ -629,13 +609,7 @@ def c_representation(t, c):
         raise InputError("c_representation takes a Tournament")
     if not isinstance(c, GaussianScalar):
         raise InputError("label must be a GaussianScalar")
-    one = GaussianScalar.one(c.mode)
-    msq = c.modulus_squared()
-    if c.mode == EXACT:
-        unit = msq == one.re
-    else:
-        unit = abs(msq - 1.0) <= get_eps()
-    if not unit:
+    if not negligible(c.modulus_squared() - 1, 0, c.mode):
         raise InputError("representation label must have modulus 1")
     if c.is_real():
         warnings.warn(

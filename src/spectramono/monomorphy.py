@@ -32,24 +32,7 @@ from .charpoly import (
 from .combinat import colex_subsets
 from .core import HermitianStructure, _descaled, pair_product, substructure  # noqa: F401 - as char_poly
 from .errors import InputError
-from .scalars import APPROX, EXACT, GaussianScalar, close, get_eps, rational
-
-
-def _compare_polys(a, b):
-    """(equal, fragile) for two approx coefficient lists of one length:
-    fragile marks a comparison that sits within 10 * eps of its decision
-    boundary, in either direction."""
-    eps = get_eps()
-    equal = True
-    fragile = False
-    for ca, cb in zip(a, b):
-        tol = eps * max(1.0, abs(ca), abs(cb))
-        diff = abs(ca - cb)
-        if diff > tol:
-            equal = False
-        if abs(diff - tol) <= 10.0 * eps:
-            fragile = True
-    return equal, fragile
+from .scalars import APPROX, EXACT, GaussianScalar, _compare_polys, close, rational
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Gaussian scalars: complex numbers with exact rational or float components.
+"""Gaussian scalars, and what each arithmetic mode means.
 
 Exact values keep their real and imaginary parts as reduced rationals
 (gmpy2.mpq, falling back to fractions.Fraction when gmpy2 is missing).
@@ -6,10 +6,20 @@ Approximate values are pairs of floats compared against a global absolute
 tolerance, see get_eps / set_eps. A value never changes mode, and mixing
 modes inside one arithmetic operation raises ModeMixError.
 
-close and negligible are the tolerance rule for real values computed from
-labels (polynomial coefficients, traces, determinants, moduli): literal
-equality in exact mode, eps relative to the magnitudes involved (never less
-than eps itself) in approx mode.
+This module is the only one that reads the tolerance. It owns:
+
+- real, the coercion of a real value into a mode: a rational in exact
+  mode, a float in approx mode;
+- close and negligible, the tolerance rule for real values computed from
+  labels (polynomial coefficients, traces, determinants, moduli): literal
+  equality in exact mode, eps relative to the magnitudes involved (never
+  less than eps itself) in approx mode;
+- _pairs_match, the same rule for (re, im) component pairs, relative to
+  their largest component;
+- _compare_polys, the approx comparison of two coefficient lists, which
+  also reports whether it sat close enough to its decision to be fragile;
+- _too_close, the InputError for approx labels whose derived values
+  drift past the tolerance that each label passed on its own.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ def set_eps(value):
     global _eps
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"eps must be a positive float, got {value!r}")
     if not value > 0.0 or not math.isfinite(value):
         raise InputError(f"eps must be a positive finite float, got {value!r}")
@@ -71,6 +81,55 @@ def negligible(x, ref, mode):
     if mode == EXACT:
         return x == 0
     return abs(x) <= _eps * max(1.0, abs(ref))
+
+
+def _pairs_match(a, b, mode):
+    """Whether two (re, im) component pairs agree: literally in exact mode;
+    in approx mode each difference must be negligible next to the largest
+    component."""
+    if mode == EXACT:
+        return a == b
+    ref = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+    return negligible(a[0] - b[0], ref, mode) and negligible(a[1] - b[1], ref, mode)
+
+
+def _compare_polys(a, b):
+    """(equal, fragile) for two approx coefficient lists of one length:
+    fragile marks a comparison that sits within 10 * eps of its decision
+    boundary, in either direction."""
+    eps = _eps
+    equal = True
+    fragile = False
+    for ca, cb in zip(a, b):
+        tol = eps * max(1.0, abs(ca), abs(cb))
+        diff = abs(ca - cb)
+        if diff > tol:
+            equal = False
+        if abs(diff - tol) <= 10.0 * eps:
+            fragile = True
+    return equal, fragile
+
+
+def _too_close(what):
+    """The InputError for approx labels that pass each tolerance test on
+    their own while a value built from them, such as a selector, drifts
+    further: its error adds up the errors of several labels and phases."""
+    return InputError(
+        f"approx labels sit too close to the tolerance: {what} by more than "
+        f"eps {_eps!r}; exact labels or another eps decide it"
+    )
+
+
+def real(value, mode):
+    """value as a real number of the given mode: rational(value) in exact
+    mode, float(value) in approx mode, where a value too large for a float
+    is an InputError rather than an OverflowError."""
+    if mode == EXACT:
+        return rational(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError("approx value too large: it overflows floats") from None
 
 
 def rational(value):
@@ -180,16 +239,12 @@ class GaussianScalar:
     __slots__ = ("mode", "re", "im")
 
     def __init__(self, re, im, mode):
-        if mode == EXACT:
-            re = rational(re)
-            im = rational(im)
-        elif mode == APPROX:
-            re = float(re)
-            im = float(im)
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise InputError(f"approx components must be finite, got {re!r}, {im!r}")
-        else:
+        if mode not in (EXACT, APPROX):
             raise InputError(f"unknown scalar mode {mode!r}")
+        re = real(re, mode)
+        im = real(im, mode)
+        if mode == APPROX and not (math.isfinite(re) and math.isfinite(im)):
+            raise InputError(f"approx components must be finite, got {re!r}, {im!r}")
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
@@ -260,10 +315,7 @@ class GaussianScalar:
 
     def scale(self, factor):
         """Multiply by a real scalar given as rational (exact) or float (approx)."""
-        if self.mode == EXACT:
-            factor = rational(factor)
-        else:
-            factor = float(factor)
+        factor = real(factor, self.mode)
         return GaussianScalar(self.re * factor, self.im * factor, self.mode)
 
     def is_zero(self):

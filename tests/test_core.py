@@ -7,6 +7,7 @@ import pytest
 import genutil
 from spectramono import core
 from spectramono.classify import classify_k3
+from spectramono.constructions import pair_cycle_counts
 from spectramono.core import (
     ConstantRepresentationWarning,
     HermitianStructure,
@@ -310,6 +311,14 @@ class TestTournament:
             (lambda: transitive_tournament(-1), "at least one vertex"),
             (lambda: transitive_tournament("3"), "at least one vertex"),
             (lambda: Tournament(True, [0]), "at least one vertex"),
+            (lambda: Tournament(2, ["x", 0]), "int bitmasks"),
+            (lambda: Tournament(2, None), "must be an iterable"),
+            (lambda: Tournament(2, [1.5, 0]), "int bitmasks"),
+            (lambda: Tournament(2, [True, 0]), "int bitmasks"),
+            (lambda: Tournament.from_pair_bits(3, 1.5), "pair code"),
+            (lambda: Tournament.from_pair_bits(3, -1), "pair code"),
+            (lambda: Tournament.from_pair_bits(3, 8), "pair code"),
+            (lambda: pair_cycle_counts(THREE_CYCLE, 0, "1"), "out of range"),
         ],
         ids=[
             "is_transitive",
@@ -318,6 +327,14 @@ class TestTournament:
             "negative_order",
             "str_order",
             "bool_order",
+            "str_row",
+            "no_rows",
+            "float_row",
+            "bool_row",
+            "float_pair_code",
+            "negative_pair_code",
+            "pair_code_too_large",
+            "str_pair_vertex",
         ],
     )
     def test_bad_arguments_are_input_errors(self, call, message):

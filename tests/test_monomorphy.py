@@ -21,13 +21,12 @@ from spectramono.core import (
 )
 from spectramono.errors import InputError, InvariantError
 from spectramono.monomorphy import (
-    _compare_polys,
     det_constancy,
     is_k_spectrally_monomorphic,
     monomorphy_profile,
     pouzet_transfer_check,
 )
-from spectramono.scalars import APPROX, EXACT, GaussianScalar, rational
+from spectramono.scalars import APPROX, EXACT, GaussianScalar, _compare_polys, rational
 
 UNIT_C = GaussianScalar.exact("3/5", "4/5")
 

@@ -1,13 +1,18 @@
 """Tests for exact/approx Gaussian scalars and the rational helpers."""
 
+import ast
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 
+import spectramono
+from spectramono.charpoly import RealPolynomial, poly_x_squared_minus
+from spectramono.core import Selector
 from spectramono.errors import InputError, ModeMixError
 from spectramono.scalars import (
     APPROX,
@@ -292,6 +297,37 @@ class TestApproxMode:
         with pytest.raises(InputError):
             GaussianScalar.approx(float("inf"), 0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: GaussianScalar.approx(10**400),
+            lambda: GaussianScalar.approx(1.0).scale(10**400),
+            lambda: Selector([GaussianScalar.approx(1.0)], 10**400),
+            lambda: RealPolynomial([10**400], APPROX),
+            lambda: RealPolynomial([1.0, 1.0], APPROX).evaluate(10**400),
+            lambda: RealPolynomial([1.0, 1.0], APPROX).scaled(10**400),
+            lambda: poly_x_squared_minus(10**400, APPROX),
+            lambda: set_eps(10**400),
+        ],
+        ids=[
+            "scalar",
+            "scale",
+            "selector",
+            "polynomial",
+            "evaluate",
+            "scaled",
+            "x_squared_minus",
+            "eps",
+        ],
+    )
+    def test_int_beyond_floats_is_an_input_error(self, call):
+        old = get_eps()
+        try:
+            with pytest.raises(InputError):
+                call()
+        finally:
+            set_eps(old)
+
 
 class TestTolerance:
     """close and negligible, the tolerance rule, at its boundary. The
@@ -338,3 +374,24 @@ class TestTolerance:
             assert negligible(1e-8, 0.0, APPROX)
         finally:
             set_eps(old)
+
+
+def test_only_scalars_reads_the_tolerance():
+    """scalars owns every tolerance test: no other module names get_eps or
+    _eps, except __init__, which may re-export get_eps but not use it."""
+    readers = []
+    for path in sorted(Path(spectramono.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                name = node.name
+            else:
+                continue
+            if name in ("get_eps", "_eps"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
