@@ -27,13 +27,14 @@ from .core import (
     Tournament,
     _built_selector,
     _descaled,
+    _exact_selector,
+    _finite,
+    _from_pairs,
     common_modulus_squared_of_pairs,
-    constant_structure,
     descending_score_order,
     is_transitive,
     pair_product,
     substructure,  # noqa: F401 - not called here; bench/tracing.py rebinds it
-    transitive_tournament,
 )
 from .charpoly import (
     _cross_checked,
@@ -51,7 +52,7 @@ from .errors import (
     TheoremRangeError,
 )
 from .monomorphy import is_k_spectrally_monomorphic
-from .scalars import EXACT, GaussianScalar, _pairs_match, _too_close, negligible, real
+from .scalars import EXACT, GaussianScalar, _pairs_match, _too_close, negligible
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,9 @@ class CanonicalReduction:
 
 
 def _scalar(pair, q, mode):
-    """The GaussianScalar pair / q for a positive real q."""
-    q = real(q, mode)
-    return GaussianScalar(pair[0] / q, pair[1] / q, mode)
+    """The GaussianScalar pair / q for a positive int q in exact mode; an
+    approx pair (q None) as it is."""
+    return GaussianScalar(_descaled(pair[0], q, 1), _descaled(pair[1], q, 1), mode)
 
 
 def _lifted_selector(m, gamma, lift, s):
@@ -132,7 +133,10 @@ def reduce_to_canonical_labels(g):
     re-applied as msq^2 * d to the labels D * msq * gamma and checked
     against msq^5 * A. Approx mode works on the float components and
     divides by msq up front. Scalars and structures are built only for the
-    returned CanonicalReduction, dividing by D * msq.
+    returned CanonicalReduction, from those pairs: the canonical structure
+    by _from_pairs over D * msq, and in exact mode the selector from msq^2
+    * d over msq^2, its values checked nonzero and of one modulus on their
+    int norms.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("reduce_to_canonical_labels takes a HermitianStructure")
@@ -150,13 +154,13 @@ def reduce_to_canonical_labels(g):
     if mode == EXACT:
         lift, s, shown = msq, 1, msq * den
     else:
-        lift, s, shown = 1.0, 1.0 / msq, 1.0
+        lift, s, shown = 1.0, 1.0 / msq, None
 
     phases = {}
     for u in range(1, n):
         for v in range(u + 1, n):
             re, im = pair_product(m[0][u], m[u][v], m[0][v])
-            phases[u, v] = (re * s, im * s) if mode != EXACT else (re, im)
+            phases[u, v] = (re, im) if mode == EXACT else _finite((re * s, im * s), mode)
     gamma = phases[1, 2]
     gamma_bar = (gamma[0], -gamma[1])
     for (u, v), w in phases.items():
@@ -170,7 +174,7 @@ def reduce_to_canonical_labels(g):
                 pair=(u, v),
             )
 
-    real = _scalar(gamma, shown, mode).is_real()
+    real = negligible(gamma[1], 0, mode)
     if real and mode != EXACT:
         # drop float noise so the constant canonical form is exactly symmetric
         gamma = (gamma[0], 0.0)
@@ -189,29 +193,26 @@ def reduce_to_canonical_labels(g):
     d = _lifted_selector(m, gamma, lift, s)
     _check_reapplied(m, d, rows, gamma, gamma_bar, mode, lift**5)
 
-    gamma_scalar = _scalar(gamma, shown, mode)
-    if real:
-        tournament = transitive_tournament(n)
-        canonical = constant_structure(n, gamma_scalar)
+    # gamma on the arcs of rows, gamma_bar against them, over shown; a real
+    # gamma equals gamma_bar, so the structure is constant
+    zero = (0, 0) if mode == EXACT else (0.0, 0.0)
+    canonical = _from_pairs(
+        tuple(
+            tuple(zero if x == y else gamma if rows[x] >> y & 1 else gamma_bar for y in range(n))
+            for x in range(n)
+        ),
+        shown,
+        mode,
+    )
+    if mode == EXACT:
+        selector = _exact_selector(d, lift * lift)
     else:
-        tournament = Tournament(n, rows)
-        bar_scalar = gamma_scalar.conj()
-        zero = GaussianScalar.zero(mode)
-        canonical = HermitianStructure(
-            [
-                [
-                    zero if x == y else gamma_scalar if rows[x] >> y & 1 else bar_scalar
-                    for y in range(n)
-                ]
-                for x in range(n)
-            ]
-        )
-    selector = _built_selector([_scalar(dv, lift * lift, mode) for dv in d])
+        selector = _built_selector([GaussianScalar(re, im, mode) for re, im in d])
     return CanonicalReduction(
         modulus_squared=_descaled(msq, den, 2),
-        gamma=gamma_scalar,
+        gamma=canonical.labels[0][1],
         real=real,
-        tournament=tournament,
+        tournament=Tournament(n, rows),
         canonical=canonical,
         selector=selector,
     )

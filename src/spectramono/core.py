@@ -54,7 +54,10 @@ class HermitianStructure:
 
     Construction clears the labels once into the (re, im) pair matrix
     (A, D) of _label_matrix, checks the zero diagonal and the conjugate
-    symmetry on those pairs, and keeps them for every kernel.
+    symmetry on those pairs, and keeps them for every kernel. Structures
+    the library builds itself (the selector action, representations,
+    substructures, canonical forms) arrive as such pairs through
+    _from_pairs, are checked on them and get their scalars from them.
     """
 
     __slots__ = ("n", "mode", "labels", "_matrix")
@@ -90,17 +93,6 @@ class HermitianStructure:
         _check_vertex(self.n, x)
         _check_vertex(self.n, y)
         return self.labels[x][y]
-
-    @classmethod
-    def _from_valid_rows(cls, rows, mode):
-        """Wrap a tuple of row tuples already known to form a valid label
-        matrix of the given mode, skipping the checks in __init__."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "labels", rows)
-        object.__setattr__(self, "_matrix", _cleared(rows, mode))
-        return self
 
     def common_modulus_squared(self):
         """The shared |label|^2 when all labels are nonzero of equal modulus.
@@ -188,6 +180,43 @@ def _cleared(rows, mode):
         d = None
         pairs = {key: (e.re, e.im) for key, e in distinct.items()}
     return tuple([tuple([pairs[id(e)] for e in row]) for row in rows]), d
+
+
+def _from_pairs(a, d, mode, labels=None):
+    """The HermitianStructure with labels a / d for a pair matrix a (a
+    tuple of row tuples of (re, im) pairs) that the library computed: int
+    pairs over a positive int d in exact mode, float pairs with d None in
+    approx mode. Its (A, D) is what _cleared gives for those labels, so
+    exact mode first divides out gcd(d, every component). It is checked
+    by _check_hermitian like any structure. Exact mode makes one scalar per
+    distinct pair; approx mode one per entry, before the check, so that a
+    non-finite component is the InputError of GaussianScalar (merging
+    entries by == would merge 0.0 and -0.0). A caller that already holds
+    the scalars of a / d passes them as labels."""
+    if mode == EXACT:
+        if d != 1:
+            g = math.gcd(d, *(c for row in a for pair in row for c in pair))
+            if g != 1:
+                d //= g
+                a = tuple([tuple([(re // g, im // g) for re, im in row]) for row in a])
+        _check_hermitian(a, mode)
+        if labels is None:
+            made = {}
+            for row in a:
+                for pair in row:
+                    if pair not in made:
+                        made[pair] = GaussianScalar(ratio(pair[0], d), ratio(pair[1], d), mode)
+            labels = tuple([tuple([made[pair] for pair in row]) for row in a])
+    else:
+        if labels is None:
+            labels = tuple([tuple([GaussianScalar(re, im, mode) for re, im in row]) for row in a])
+        _check_hermitian(a, mode)
+    self = object.__new__(HermitianStructure)
+    object.__setattr__(self, "n", len(a))
+    object.__setattr__(self, "mode", mode)
+    object.__setattr__(self, "labels", labels)
+    object.__setattr__(self, "_matrix", (a, d))
+    return self
 
 
 def _check_hermitian(a, mode):
@@ -535,12 +564,27 @@ def _built_selector(values, scale_sq=1):
         raise _too_close("the selector values differ in modulus") from None
 
 
-def substructure(g, vertices):
-    """Restriction of g to the given vertices, sorted ascending.
+def _exact_selector(pairs, q):
+    """The exact Selector, scale_sq 1, with values pairs / q for int pairs
+    and an int q > 0, checked as Selector checks its values but on the int
+    norms re^2 + im^2: each nonzero, all equal."""
+    norms = [re * re + im * im for re, im in pairs]
+    if not all(norms):
+        raise InvariantError("selector values must be nonzero")
+    if norms.count(norms[0]) != len(norms):
+        raise InvariantError("selector values must share one modulus")
+    self = object.__new__(Selector)
+    object.__setattr__(
+        self, "values", tuple([GaussianScalar(ratio(re, q), ratio(im, q), EXACT) for re, im in pairs])
+    )
+    object.__setattr__(self, "scale_sq", ratio(1))
+    object.__setattr__(self, "mode", EXACT)
+    return self
 
-    A principal submatrix of a valid label matrix is valid, so the rows are
-    sliced without running the structure checks again.
-    """
+
+def substructure(g, vertices):
+    """Restriction of g to the given vertices, sorted ascending: the
+    labels and the pair matrix of g, sliced."""
     if not isinstance(g, HermitianStructure):
         raise InputError("substructure takes a HermitianStructure")
     vs = sorted(set(vertices))
@@ -549,8 +593,13 @@ def substructure(g, vertices):
     for v in vs:
         _check_vertex(g.n, v)
     labels = g.labels
-    rows = tuple(tuple(labels[a][b] for b in vs) for a in vs)
-    return HermitianStructure._from_valid_rows(rows, g.mode)
+    a, d = _label_matrix(g)
+    return _from_pairs(
+        tuple(tuple(a[x][y] for y in vs) for x in vs),
+        d,
+        g.mode,
+        tuple(tuple(labels[x][y] for y in vs) for x in vs),
+    )
 
 
 def apply_selector(g, d):
@@ -558,13 +607,14 @@ def apply_selector(g, d):
 
     Exact mode clears denominators once: the labels become Gaussian
     integers A over D (_label_matrix) and the selector values Gaussian
-    integers S over R,
-    each entry is the integer product S(x) A(x, y) conj(S(y)), and each of
-    its components becomes one rational, times scale_sq over R^2 D. Approx
-    mode runs the same loop on the float components and multiplies by
-    scale_sq; its operations are those of GaussianScalar arithmetic, in the
-    same order, so the floats agree bit for bit. The result is validated
-    like any new HermitianStructure, which is the check on this arithmetic.
+    integers S over R, and each entry is the integer product
+    S(x) A(x, y) conj(S(y)) times the numerator of scale_sq, over
+    R^2 D times its denominator. Approx mode runs the same loop on the
+    float components and multiplies by scale_sq; its operations are those
+    of GaussianScalar arithmetic, in the same order, so the floats agree
+    bit for bit. The diagonal is an explicit zero pair. The result is
+    built by _from_pairs and checked like any structure, which is the
+    check on this arithmetic.
     """
     if not isinstance(g, HermitianStructure) or not isinstance(d, Selector):
         raise InputError("apply_selector takes a HermitianStructure and a Selector")
@@ -573,14 +623,11 @@ def apply_selector(g, d):
     if d.n != g.n:
         raise InputError(f"selector covers {d.n} vertices, structure has {g.n}")
     mode = g.mode
-    exact = mode == EXACT
     labels, den = _label_matrix(g)
     (values,), r = _cleared((d.values,), mode)
-    scale = d.scale_sq
-    if exact:
-        num = scale.numerator
-        den *= r * r * scale.denominator
-    zero = GaussianScalar.zero(mode)
+    num, zero = d.scale_sq, (0.0, 0.0)
+    if mode == EXACT:
+        num, den, zero = num.numerator, den * r * r * num.denominator, (0, 0)
     rows = []
     for x, row in enumerate(labels):
         dx = values[x]
@@ -590,12 +637,9 @@ def apply_selector(g, d):
                 out.append(zero)
                 continue
             re, im = pair_product(dx, label, values[y])
-            if exact:
-                out.append(GaussianScalar(ratio(re * num, den), ratio(im * num, den), mode))
-            else:
-                out.append(GaussianScalar(re * scale, im * scale, mode))
-        rows.append(out)
-    return HermitianStructure(rows)
+            out.append((re * num, im * num))
+        rows.append(tuple(out))
+    return _from_pairs(tuple(rows), den, mode)
 
 
 def c_representation(t, c):
@@ -618,20 +662,15 @@ def c_representation(t, c):
             ConstantRepresentationWarning,
             stacklevel=2,
         )
-    cc = c.conj()
-    zero = GaussianScalar.zero(c.mode)
-    rows = []
+    # every label is one of three shared scalars, each cleared once
+    shared = (GaussianScalar.zero(c.mode), c, c.conj())
+    (pairs,), d = _cleared((shared,), c.mode)
+    rows, matrix = [], []
     for x in range(t.n):
-        row = []
-        for y in range(t.n):
-            if x == y:
-                row.append(zero)
-            elif t.rows[x] >> y & 1:
-                row.append(c)
-            else:
-                row.append(cc)
-        rows.append(row)
-    return HermitianStructure(rows)
+        picks = [0 if x == y else 1 if t.rows[x] >> y & 1 else 2 for y in range(t.n)]
+        rows.append(tuple([shared[k] for k in picks]))
+        matrix.append(tuple([pairs[k] for k in picks]))
+    return _from_pairs(tuple(matrix), d, c.mode, tuple(rows))
 
 
 def i_representation(t, mode=EXACT):
@@ -640,11 +679,11 @@ def i_representation(t, mode=EXACT):
 
 
 def _finite(pair, mode):
-    """pair, checked as GaussianScalar checks approx components, so that a
-    phase product that overflows floats stays an input error."""
+    """pair, an approx phase product or a product of two, checked to be
+    finite: labels that fit floats can still overflow there."""
     re, im = pair
     if mode != EXACT and not (math.isfinite(re) and math.isfinite(im)):
-        raise InputError(f"approx components must be finite, got {re!r}, {im!r}")
+        raise InputError("approx labels too large: phase products overflow floats")
     return pair
 
 

@@ -155,6 +155,31 @@ class TestCanonicalReduction:
                 reduce_to_canonical_labels(g)
             assert seen.pop() is integral
 
+    @pytest.mark.parametrize(
+        "slip, message",
+        [
+            (lambda re, im: (2 * re, 2 * im), "selector values must share one modulus"),
+            (lambda re, im: (0, 0), "selector values must be nonzero"),
+        ],
+    )
+    def test_int_selector_check_still_fires(self, monkeypatch, slip, message):
+        """The exact selector is checked on the int norms of its values:
+        one value of another modulus, or a zero value, is a broken
+        invariant even when the re-application check lets it through."""
+        r = genutil.rng(35)
+        t = genutil.random_tournament(r, 6)
+        original_selector = classify._lifted_selector
+
+        def slipped(*args):
+            d = original_selector(*args)
+            return d[:3] + [slip(*d[3])] + d[4:]
+
+        monkeypatch.setattr(classify, "_lifted_selector", slipped)
+        monkeypatch.setattr(classify, "_check_reapplied", lambda *args: None)
+        for g in (i_representation(t), c_representation(transitive_tournament(6), UNIT_C)):
+            with pytest.raises(InvariantError, match=message):
+                reduce_to_canonical_labels(g)
+
     def test_phase_outside_pair_on_both_component_paths(self, monkeypatch):
         """The phase text shows the rescaled phases whether the label matrix
         clears with D == 1 or with D > 1."""

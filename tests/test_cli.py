@@ -380,6 +380,25 @@ class TestErrorsAndEnvironment:
         assert report["error"]["kind"] == "input"
         assert "overflow" in report["error"]["message"]
 
+    def test_overflowing_phase_products_name_the_labels(self, tmp_path, capsys):
+        """|label|^2 fits a float but the triple phase products of the
+        reduction do not: the error names the labels, not a product."""
+        big, bar, zero = "6e109,8e109", "6e109,-8e109", "0.0,0.0"
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps(
+                _approx_doc(
+                    [[zero if x == y else big if x < y else bar for y in range(5)] for x in range(5)]
+                )
+            )
+        )
+        code, report = run(capsys, "classify", "--input", str(path), "--k", "3", "--force-brute")
+        assert code == 2
+        assert report["error"] == {
+            "kind": "input",
+            "message": "approx labels too large: phase products overflow floats",
+        }
+
     def test_python_m_runs_the_cli(self, capsys):
         """`python -m spectramono` from the source tree, with the package
         not installed, prints what main prints in process."""

@@ -5,7 +5,7 @@ import time
 import pytest
 
 import genutil
-from spectramono import core
+from spectramono import classify, core
 from spectramono.classify import classify_k3
 from spectramono.constructions import pair_cycle_counts
 from spectramono.core import (
@@ -220,14 +220,16 @@ class TestClearedMatrix:
             assert _label_matrix(substructure(g, vs)) == _label_matrix(rebuilt)
 
     def test_k3_sweep_op_clears_each_structure_once(self, monkeypatch):
-        """A k3-sweep op (build, classify_k3, enumeration at k = 3) clears
+        """A k3-sweep op (build, classify_k3, enumeration at k = 3) converts
         the labels of each structure it builds exactly once, when the
-        structure is built; every kernel reads that matrix."""
-        cleared = []
+        structure is built, by either route: __init__ clears its scalars
+        into pairs, _from_pairs makes its scalars from pairs. Every kernel
+        reads that matrix."""
+        converted = []
         original = core._cleared
 
         def spy(rows, mode):
-            cleared.append(rows)
+            converted.append(rows)
             return original(rows, mode)
 
         monkeypatch.setattr(core, "_cleared", spy)
@@ -239,17 +241,72 @@ class TestClearedMatrix:
             built.append(self)
 
         monkeypatch.setattr(HermitianStructure, "__init__", spy_init)
+        from_pairs = core._from_pairs
+
+        def spy_from_pairs(a, d, mode, labels=None):
+            h = from_pairs(a, d, mode, labels)
+            converted.append(h.labels)
+            built.append(h)
+            return h
+
+        monkeypatch.setattr(core, "_from_pairs", spy_from_pairs)
+        monkeypatch.setattr(classify, "_from_pairs", spy_from_pairs)
         r = genutil.rng(74)
         for t in [transitive_tournament(6)] + [genutil.random_tournament(r, 6) for _ in range(5)]:
-            cleared.clear()
+            converted.clear()
             built.clear()
             g = i_representation(t)
             classify_k3(g)
             is_k_spectrally_monomorphic(g, 3)
-            # the other calls clear the values of a selector, one row
-            matrices = [rows for rows in cleared if len(rows) > 1]
+            # the other calls clear one row: the values of a selector, or
+            # the three labels a representation shares
+            matrices = [rows for rows in converted if len(rows) > 1]
             assert [id(rows) for rows in matrices] == [id(h.labels) for h in built]
             assert built[0] is g and len(built) > 1
+
+    def test_from_pairs_agrees_with_init(self):
+        """_from_pairs on a pair matrix over any multiple of D gives the
+        matrix and the labels that HermitianStructure gives for A / D."""
+        r = genutil.rng(76)
+        for trial in range(120):
+            n = r.randrange(1, 7)
+            rows = [[GaussianScalar.zero()] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(x + 1, n):
+                    z = GaussianScalar.zero() if r.random() < 0.3 else genutil.random_exact_scalar(r, 6)
+                    rows[x][y], rows[y][x] = z, z.conj()
+            g = HermitianStructure(rows)
+            a, d = _label_matrix(g)
+            k = r.choice((1, 2, 6, 35, 2**70))
+            h = core._from_pairs(
+                tuple(tuple((re * k, im * k) for re, im in row) for row in a), d * k, EXACT
+            )
+            assert _label_matrix(h) == (a, d)
+            assert h.labels == g.labels and h.n == n and h.mode == EXACT
+
+    def test_from_pairs_keeps_approx_signed_zeros(self):
+        """In approx mode each entry gets its own scalar, so 0.0 and -0.0
+        print as they did; the pairs themselves are kept as given."""
+        r = genutil.rng(77)
+        pool = (0.0, -0.0, 1.5, -2.25, 1e-300, -3e12)
+        for trial in range(60):
+            n = r.randrange(1, 6)
+            rows = [
+                [GaussianScalar.approx(r.choice((0.0, -0.0)), r.choice((0.0, -0.0))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            for x in range(n):
+                for y in range(x + 1, n):
+                    z = GaussianScalar.approx(r.choice(pool), r.choice(pool))
+                    rows[x][y], rows[y][x] = z, z.conj()
+            g = HermitianStructure(rows)
+            a, d = _label_matrix(g)
+            h = core._from_pairs(a, d, APPROX)
+            assert repr(_label_matrix(h)) == repr((a, None))
+            assert h.labels == g.labels
+            assert [[z.to_text() for z in row] for row in h.labels] == [
+                [z.to_text() for z in row] for row in g.labels
+            ]
 
 
 class TestTournament:
@@ -451,6 +508,46 @@ class TestApplySelector:
                     else:
                         assert (got.re.hex(), got.im.hex()) == (want.re.hex(), want.im.hex())
 
+    def test_twisted_approx_matches_scalar_text(self):
+        """Each label of the action prints as the scalar formula
+        (d(x) * g(x, y) * conj(d(y))).scale(scale_sq) does: on approx copies
+        of twisted c-representations, with signed zeros on the diagonal,
+        under selectors with a -0.0 component, and on exact ones under a
+        rational scale_sq. The diagonal prints as the zero scalar, never
+        -0.0."""
+        r = genutil.rng(78)
+        signed = [
+            GaussianScalar.approx(re, im)
+            for re, im in ((1.0, -0.0), (-0.0, 1.0), (-0.0, -1.0), (-1.0, 0.0), (0.6, -0.8))
+        ]
+        negative_zeros = 0
+        for trial in range(40):
+            n = r.randrange(2, 8)
+            t = genutil.random_tournament(r, n)
+            g = apply_selector(c_representation(t, r.choice((I, UNIT_C))), genutil.random_unit_selector(r, n))
+            if trial % 2:
+                rows = [list(row) for row in genutil.approx_copy(g).labels]
+                for x in range(n):
+                    rows[x][x] = GaussianScalar.approx(r.choice((0.0, -0.0)), r.choice((0.0, -0.0)))
+                g = HermitianStructure(rows)
+                values = [r.choice(signed) for _ in range(n)]
+                values[r.randrange(n)] = signed[r.randrange(3)]
+                d = Selector(values, r.choice((1.0, 0.75, 2.5)))
+            else:
+                d = genutil.random_selector(r, n, scale_pool=("3/7", "9/4", "5/3"))
+            h = apply_selector(g, d)
+            zero = GaussianScalar.zero(g.mode).to_text()
+            for x in range(n):
+                assert h.labels[x][x].to_text() == zero
+                for y in range(n):
+                    if x == y:
+                        continue
+                    want = (d.values[x] * g.labels[x][y] * d.values[y].conj()).scale(d.scale_sq)
+                    got = h.labels[x][y].to_text()
+                    assert got == want.to_text()
+                    negative_zeros += "-0.0" in got
+        assert negative_zeros
+
 
 class TestRepresentations:
     def test_arc_labels(self):
@@ -620,12 +717,12 @@ class TestJitteredApproxNormalization:
 
 class TestAreEquivalent:
     def test_overflowing_phase_products_are_input_errors(self):
-        """Phase products that overflow floats stop with the input error of
-        approx scalar arithmetic, rather than deciding anything."""
+        """Phase products that overflow floats stop with an input error
+        that names the labels, rather than deciding anything."""
         for v in (1e60, 1e110):
-            with pytest.raises(InputError, match="must be finite"):
+            with pytest.raises(InputError, match="approx labels too large: phase products"):
                 are_equivalent(_huge_approx(v), _huge_approx(v))
-        with pytest.raises(InputError, match="must be finite"):
+        with pytest.raises(InputError, match="approx labels too large: phase products"):
             normalize_at(_huge_approx(1e110), 0)
 
     def test_labels_whose_square_overflows_are_input_errors(self):
