@@ -13,9 +13,11 @@ approx mode the pairs are floats, every entry of each power is formed, and
 each coefficient is checked and formed within the tolerance of scalars.
 Enumerations slice principal submatrices of one such matrix instead of
 building substructures. Determinants come from an independent elimination,
-fraction-free Bareiss elimination over the Gaussian integers in exact mode
-(det M = det A / D^n), so the identity P(0) = (-1)^n det M is a genuine
-cross-check rather than a tautology.
+fraction-free Bareiss elimination with the largest-norm pivot, one loop in
+both modes: over the Gaussian integers in exact mode (det M = det A / D^n),
+where each division by the previous pivot is checked to be exact, and on
+complex floats in approx mode. So the identity P(0) = (-1)^n det M is a
+genuine cross-check rather than a tautology.
 
 In exact mode the same recurrence pass can also accumulate the adjugates
 adj(x_j I - A) at integer points x_j above the spectrum of A. From them
@@ -30,9 +32,9 @@ from __future__ import annotations
 import math
 
 from .combinat import colex_subsets
-from .core import HermitianStructure, _descaled, _label_matrix
+from .core import HermitianStructure, _descaled, _label_matrix, _tuple_of
 from .errors import InputError, InvariantError, ModeMixError
-from .scalars import APPROX, EXACT, GaussianScalar, close, negligible, real
+from .scalars import APPROX, EXACT, GaussianScalar, _failed, close, negligible, real
 
 
 class RealPolynomial:
@@ -43,7 +45,7 @@ class RealPolynomial:
     def __init__(self, coefficients, mode):
         if mode not in (EXACT, APPROX):
             raise InputError(f"unknown polynomial mode {mode!r}")
-        coeffs = [real(c, mode) for c in coefficients]
+        coeffs = [real(c, mode) for c in _tuple_of(coefficients, "polynomial coefficients")]
         if not coeffs:
             raise InputError("a polynomial needs at least one coefficient")
         while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -78,7 +80,7 @@ class RealPolynomial:
         return RealPolynomial(out, self.mode)
 
     def power(self, k):
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise InputError(f"polynomial power must be a nonnegative int, got {k!r}")
         result = RealPolynomial([1], self.mode)
         base = self
@@ -218,12 +220,14 @@ def _recurrence(a, mode, points=()):
             )
         # the literal test spares the exact path a call per coefficient
         if tr_im != 0 and not negligible(tr_im, tr_re, mode):
-            if mode == APPROX:
-                raise InputError(
+            raise _failed(
+                mode,
+                "trace of a Hermitian power must be real",
+                InputError(
                     "approx labels lost precision: a trace of a power of the "
                     "label matrix is not real within eps; use exact labels"
-                )
-            raise InvariantError("trace of a Hermitian power must be real")
+                ),
+            )
         if mode == EXACT:
             ck, r = divmod(-tr_re, k)
             if r != 0:
@@ -393,35 +397,42 @@ def char_poly(g):
     return _polynomial(_recurrence(a, APPROX if d is None else EXACT)[0], d)
 
 
-def _det_exact(a, n):
-    """Determinant of a matrix of Gaussian-integer (re, im) pairs by
-    fraction-free Bareiss elimination (Bareiss 1968, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination"). After step k
-    each remaining entry is a minor of order k + 2 of the row-permuted
-    matrix, so its division by the previous pivot is exact in Z[i]; that is
-    checked. Rows are swapped to the first nonzero pivot, which the zero
-    diagonal of a label matrix always forces at the first step."""
+def _det(a, n, mode):
+    """Determinant of a matrix of (re, im) pairs by fraction-free Bareiss
+    elimination (Bareiss 1968, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination"), one loop for both modes.
+    Each step swaps in the row whose pivot has the largest norm
+    re * re + im * im. After step k each remaining entry is a minor of
+    order k + 2 of the row-permuted matrix, formed as
+    (pivot * row[c] - row[k] * top[c]) / prev. Only that division depends
+    on the mode: on Gaussian integers it is exact in Z[i], and exact mode
+    checks that it is. Approx mode divides the two multipliers pivot and
+    row[k] by prev as complex floats before it multiplies, so no product
+    outgrows the minors of the result."""
     a = [list(row) for row in a]
     sign = 1
+    exact = mode == EXACT
     for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
-        if pivot is None:
+        norms = [re * re + im * im for re, im in [row[k] for row in a[k:]]]
+        largest = max(norms)
+        pivot = k + norms.index(largest)
+        if a[pivot][k] == (0, 0):
             return 0, 0
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         top = a[k]
-        pre, pim = top[k]
+        divide = k and exact
+        pre, pim = _over(top[k], prev_re, prev_im) if k and not exact else top[k]
         for row in a[k + 1 :]:
-            fre, fim = row[k]
+            fre, fim = _over(row[k], prev_re, prev_im) if k and not exact else row[k]
             for c in range(k + 1, n):
                 bre, bim = top[c]
                 cre, cim = row[c]
-                # (pivot * row[c] - row[k] * top[c]) / prev, the division
-                # as a product with conj(prev) over |prev|^2
                 re = pre * cre - pim * cim - fre * bre + fim * bim
                 im = pre * cim + pim * cre - fre * bim - fim * bre
-                if k:
+                if divide:
+                    # the division as a product with conj(prev) over |prev|^2
                     re, im = re * prev_re + im * prev_im, im * prev_re - re * prev_im
                     re, r_re = divmod(re, norm)
                     im, r_im = divmod(im, norm)
@@ -430,46 +441,25 @@ def _det_exact(a, n):
                             "Bareiss division by the previous pivot is not exact"
                         )
                 row[c] = (re, im)
-        prev_re, prev_im, norm = pre, pim, pre * pre + pim * pim
+        prev_re, prev_im = top[k]
+        norm = largest  # |prev|^2, the divisor of exact mode
     re, im = a[n - 1][n - 1]
     return sign * re, sign * im
 
 
-def _det_approx(m, n):
-    """Determinant of a matrix of (re, im) float pairs by Gaussian
-    elimination with partial pivoting, in complex arithmetic."""
-    a = [[complex(re, im) for re, im in row] for row in m]
-    sign = 1
-    det = complex(1.0, 0.0)
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot][col]) == 0.0:
-            return complex(0.0, 0.0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det * sign
+def _over(pair, re, im):
+    """A float pair divided by re + i im, in complex arithmetic."""
+    z = complex(*pair) / complex(re, im)
+    return z.real, z.imag
 
 
 def _minor(a, subset, mode):
     """(re, im) of the elimination determinant of the principal submatrix on
-    `subset` of a matrix (A, D) in _label_matrix form. Exact mode eliminates
-    on Gaussian integers, so this is D^|subset| times the minor of M, and
-    checks that it is real; approx mode leaves the imaginary rounding to the
-    caller."""
-    sub = _principal_submatrix(a, subset)
-    if mode == APPROX:
-        det = _det_approx(sub, len(subset))
-        return det.real, det.imag
-    re, im = _det_exact(sub, len(subset))
-    if im != 0:
+    `subset` of a matrix (A, D) in _label_matrix form: in exact mode D^|subset|
+    times the minor of M, checked to be real; approx mode leaves the
+    imaginary rounding to the caller."""
+    re, im = _det(_principal_submatrix(a, subset), len(subset), mode)
+    if mode == EXACT and im != 0:
         raise InvariantError("principal minor of a Hermitian matrix must be real")
     return re, im
 
@@ -504,9 +494,8 @@ def _cross_checked(re, im, p0, n, mode):
         problem = f"determinant routes disagree: elimination {re}, recurrence {expected}"
     else:
         return re
-    if mode == EXACT:
-        raise InvariantError(problem)
-    raise InputError(f"approx labels lost precision ({problem} within eps); use exact labels")
+    lost = InputError(f"approx labels lost precision ({problem} within eps); use exact labels")
+    raise _failed(mode, problem, lost)
 
 
 def principal_minor_sum(g, p):

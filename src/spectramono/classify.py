@@ -25,11 +25,10 @@ from .core import (
     HermitianStructure,
     Selector,
     Tournament,
-    _built_selector,
     _descaled,
-    _exact_selector,
     _finite,
     _from_pairs,
+    _selector_from_pairs,
     common_modulus_squared_of_pairs,
     descending_score_order,
     is_transitive,
@@ -38,7 +37,7 @@ from .core import (
 )
 from .charpoly import (
     _cross_checked,
-    _det_exact,
+    _det,
     _label_matrix,
     _principal_submatrix,
     _recurrence,
@@ -52,7 +51,7 @@ from .errors import (
     TheoremRangeError,
 )
 from .monomorphy import is_k_spectrally_monomorphic
-from .scalars import EXACT, GaussianScalar, _pairs_match, _too_close, negligible
+from .scalars import EXACT, GaussianScalar, _failed, _pairs_match, _too_close, negligible
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,10 @@ def _check_reapplied(m, d, rows, gamma, gamma_bar, mode, target_scale):
             got = pair_product(d[x], c, d[y])
             if got == want or _pairs_match(got, want, mode):
                 continue
-            if mode != EXACT:
-                raise _too_close(f"the reduced form misses the input at ({x},{y})")
-            raise InvariantError(
-                f"canonical reduction selector failed to reproduce input at ({x},{y})"
+            raise _failed(
+                mode,
+                f"canonical reduction selector failed to reproduce input at ({x},{y})",
+                _too_close(f"the reduced form misses the input at ({x},{y})"),
             )
 
 
@@ -134,9 +133,8 @@ def reduce_to_canonical_labels(g):
     against msq^5 * A. Approx mode works on the float components and
     divides by msq up front. Scalars and structures are built only for the
     returned CanonicalReduction, from those pairs: the canonical structure
-    by _from_pairs over D * msq, and in exact mode the selector from msq^2
-    * d over msq^2, its values checked nonzero and of one modulus on their
-    int norms.
+    by _from_pairs over D * msq, and the selector by _selector_from_pairs,
+    in exact mode from msq^2 * d over msq^2.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("reduce_to_canonical_labels takes a HermitianStructure")
@@ -149,12 +147,13 @@ def reduce_to_canonical_labels(g):
         msq = common_modulus_squared_of_pairs(m, mode)
     except NotTwoMonomorphicError as exc:
         raise ReductionError("not_two_monomorphic", str(exc)) from exc
-    # the selector carries lift^2 and each phase product is multiplied by s;
-    # the phases and gamma then carry the positive factor shown
+    # the selector carries lift^2 (over q = lift^2 in exact mode) and each
+    # phase product is multiplied by s; the phases and gamma then carry the
+    # positive factor shown
     if mode == EXACT:
-        lift, s, shown = msq, 1, msq * den
+        lift, s, shown, q = msq, 1, msq * den, msq * msq
     else:
-        lift, s, shown = 1.0, 1.0 / msq, None
+        lift, s, shown, q = 1.0, 1.0 / msq, None, None
 
     phases = {}
     for u in range(1, n):
@@ -204,10 +203,7 @@ def reduce_to_canonical_labels(g):
         shown,
         mode,
     )
-    if mode == EXACT:
-        selector = _exact_selector(d, lift * lift)
-    else:
-        selector = _built_selector([GaussianScalar(re, im, mode) for re, im in d])
+    selector = _selector_from_pairs(d, q, mode)
     return CanonicalReduction(
         modulus_squared=_descaled(msq, den, 2),
         gamma=canonical.labels[0][1],
@@ -284,15 +280,15 @@ def _negative(g, k, reason, pair=None, degenerate=False):
     """
     report = is_k_spectrally_monomorphic(g, k)
     if report.monomorphic and not degenerate:
-        if g.mode != EXACT:
-            raise _too_close(
+        raise _failed(
+            g.mode,
+            f"classifier ruled out k={k} monomorphy but enumeration found "
+            f"all {report.subsets_checked} subsets in agreement",
+            _too_close(
                 f"all {report.subsets_checked} {k}-subset polynomials agree, yet "
                 f"the labels rule out k={k} monomorphy ({reason}): they miss "
                 "its canonical form"
-            )
-        raise InvariantError(
-            f"classifier ruled out k={k} monomorphy but enumeration found "
-            f"all {report.subsets_checked} subsets in agreement"
+            ),
         )
     return Classification(
         k=k,
@@ -500,7 +496,7 @@ def c3_via_determinants(g, x1, x, y):
         if z in names:
             continue
         sub = _principal_submatrix(a, (x1, x, y, z))
-        re, im = _det_exact(sub, 4)
+        re, im = _det(sub, 4, EXACT)
         p0 = _recurrence(sub, EXACT)[0][-1]
         det = _cross_checked(re, im, p0, 4, EXACT)
         if det not in (unit, 9 * unit):

@@ -6,7 +6,8 @@ document, everything else prints a report. Exit codes:
 
     0  success / the checked property holds
     1  the checked property fails (report carries a witness)
-    2  input or format error
+    2  input or format error, including a document whose entries are not a
+       valid structure (labels that are not Hermitian, say)
     3  requested k outside the theorem ranges and --force-brute not given
 
 The environment variable SPECTRAMONO_EPS overrides the approx-mode
@@ -110,7 +111,12 @@ def _load(path, want_kind=None):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    doc = parse_document(text)
+    try:
+        doc = parse_document(text)
+    except InvariantError as exc:
+        # a document whose entries break a structure's rules (labels that
+        # are not Hermitian, a pair oriented both ways) is bad input here
+        raise InputError(str(exc)) from None
     if want_kind is not None and doc.kind != want_kind:
         raise InputError(
             f"{path} holds a {doc.kind} document, this command needs {want_kind}"

@@ -20,9 +20,9 @@ from .charpoly import (
     poly_x_squared_minus,
 )
 from .combinat import colex_subsets
-from .core import HermitianStructure, Tournament
+from .core import Tournament, _from_pairs, _tuple_of
 from .errors import InputError, InvariantError
-from .scalars import EXACT, GaussianScalar
+from .scalars import EXACT
 
 
 class SignMatrix:
@@ -31,7 +31,7 @@ class SignMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
+        rows = tuple(_tuple_of(row, "a sign row") for row in _tuple_of(entries, "sign rows"))
         n = len(rows)
         if n == 0:
             raise InputError("sign matrix must be nonempty")
@@ -98,11 +98,7 @@ def i_weighted(s):
     """Hermitian structure with label i*s[x][y]; s must be skew with zero diagonal."""
     if not isinstance(s, SignMatrix):
         raise InputError("i_weighted takes a SignMatrix")
-    labels = [
-        [GaussianScalar.exact(0, s.entries[x][y]) for y in range(s.n)]
-        for x in range(s.n)
-    ]
-    return HermitianStructure(labels)
+    return _from_pairs(tuple(tuple((0, v) for v in row) for row in s.entries), 1, EXACT)
 
 
 @dataclass(frozen=True)
@@ -372,7 +368,7 @@ def closed_form_deletion_poly(t, d):
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise InputError(f"t must be an int >= 1, got {t!r}")
-    if d not in (0, 1, 2, 3):
+    if not isinstance(d, int) or isinstance(d, bool) or d not in (0, 1, 2, 3):
         raise InputError(f"d must be 0, 1, 2 or 3, got {d!r}")
     base = poly_x_squared_minus(4 * t + 3, EXACT)
     x = RealPolynomial([0, 1], EXACT)

@@ -26,6 +26,7 @@ from .scalars import (
     APPROX,
     EXACT,
     GaussianScalar,
+    _failed,
     _too_close,
     negligible,
     ratio,
@@ -42,6 +43,26 @@ class ConstantRepresentationWarning(UserWarning):
 def _check_vertex(n, x, what="vertex"):
     if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n:
         raise InputError(f"{what} {x!r} out of range for n={n}")
+
+
+def _tuple_of(values, what):
+    """tuple(values), where values that are not iterable are an InputError
+    naming what they should have been."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} must be an iterable, got {values!r}") from None
+
+
+def _sorted_vertices(n, vertices, what):
+    """The distinct vertices in an iterable, ascending, each checked to be
+    one of 0..n-1; `what` names the caller."""
+    vs = _tuple_of(vertices, f"{what} vertices")
+    for v in vs:
+        _check_vertex(n, v)
+    if not vs:
+        raise InputError(f"{what} needs at least one vertex")
+    return sorted(set(vs))
 
 
 def _check_order(n):
@@ -63,7 +84,7 @@ class HermitianStructure:
     __slots__ = ("n", "mode", "labels", "_matrix")
 
     def __init__(self, labels):
-        rows = tuple(tuple(row) for row in labels)
+        rows = tuple(_tuple_of(row, "a label row") for row in _tuple_of(labels, "label rows"))
         n = len(rows)
         if n == 0:
             raise InputError("a structure needs at least one vertex")
@@ -268,6 +289,8 @@ def constant_structure(n, value):
         raise InputError("constant label must be a GaussianScalar")
     if not value.is_real():
         raise InvariantError("a constant structure needs a real label")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InputError(f"a structure needs at least one vertex, got {n!r}")
     zero = GaussianScalar.zero(value.mode)
     rows = [
         [zero if i == j else value for j in range(n)]
@@ -286,10 +309,7 @@ class Tournament:
 
     def __init__(self, n, rows):
         _check_order(n)
-        try:
-            rows = tuple(rows)
-        except TypeError:
-            raise InputError(f"tournament rows must be an iterable, got {rows!r}") from None
+        rows = _tuple_of(rows, "tournament rows")
         for r in rows:
             if not isinstance(r, int) or isinstance(r, bool):
                 raise InputError(f"tournament rows must be int bitmasks, got {r!r}")
@@ -318,6 +338,7 @@ class Tournament:
     @classmethod
     def from_matrix(cls, matrix):
         """Build from a 0/1 dominance matrix (list of rows)."""
+        matrix = [_tuple_of(row, "a dominance row") for row in _tuple_of(matrix, "dominance rows")]
         n = len(matrix)
         rows = []
         for i, row in enumerate(matrix):
@@ -325,7 +346,7 @@ class Tournament:
                 raise InputError(f"dominance matrix must be {n}x{n}")
             mask = 0
             for j, cell in enumerate(row):
-                if cell not in (0, 1):
+                if not isinstance(cell, int) or isinstance(cell, bool) or cell not in (0, 1):
                     raise InputError(f"dominance entries are 0 or 1, got {cell!r}")
                 if cell:
                     mask |= 1 << j
@@ -385,11 +406,7 @@ class Tournament:
                     yield i, j
 
     def subtournament(self, vertices):
-        vs = sorted(set(vertices))
-        for v in vs:
-            _check_vertex(self.n, v)
-        if not vs:
-            raise InputError("subtournament needs at least one vertex")
+        vs = _sorted_vertices(self.n, vertices, "subtournament")
         rows = []
         for a in vs:
             mask = 0
@@ -471,7 +488,7 @@ class Selector:
     __slots__ = ("values", "scale_sq", "mode")
 
     def __init__(self, values, scale_sq=1):
-        values = tuple(values)
+        values = _tuple_of(values, "selector values")
         if not values:
             raise InputError("a selector needs at least one value")
         mode = None
@@ -552,33 +569,33 @@ class Selector:
         return f"Selector(n={self.n}, mode={self.mode!r}, scale_sq={self.scale_sq})"
 
 
-def _built_selector(values, scale_sq=1):
-    """Selector(values, scale_sq) for values computed from labels. Values
-    that differ in modulus are a broken invariant in exact mode and
-    _too_close input in approx mode."""
-    try:
-        return Selector(values, scale_sq)
-    except InvariantError:
-        if values[0].mode == EXACT:
-            raise
-        raise _too_close("the selector values differ in modulus") from None
-
-
-def _exact_selector(pairs, q):
-    """The exact Selector, scale_sq 1, with values pairs / q for int pairs
-    and an int q > 0, checked as Selector checks its values but on the int
-    norms re^2 + im^2: each nonzero, all equal."""
+def _selector_from_pairs(pairs, q, mode, scale_sq=1, values=None):
+    """The Selector with values pairs / q and scale_sq, for selector values
+    the library computed: int pairs over an int q > 0 in exact mode, float
+    pairs with q None in approx mode. Exact mode checks the values, each
+    nonzero and all of one modulus, literally on the int norms
+    re^2 + im^2, and a failed check is a broken invariant. Approx mode
+    leaves the checks to Selector, where a failed one is _too_close input.
+    A caller that already holds the scalars of pairs / q passes them as
+    values."""
+    if mode != EXACT:
+        if values is None:
+            values = [GaussianScalar(re, im, mode) for re, im in pairs]
+        try:
+            return Selector(values, scale_sq)
+        except InvariantError:
+            raise _too_close("the selector values differ in modulus") from None
     norms = [re * re + im * im for re, im in pairs]
     if not all(norms):
         raise InvariantError("selector values must be nonzero")
     if norms.count(norms[0]) != len(norms):
         raise InvariantError("selector values must share one modulus")
+    if values is None:
+        values = [GaussianScalar(ratio(re, q), ratio(im, q), mode) for re, im in pairs]
     self = object.__new__(Selector)
-    object.__setattr__(
-        self, "values", tuple([GaussianScalar(ratio(re, q), ratio(im, q), EXACT) for re, im in pairs])
-    )
-    object.__setattr__(self, "scale_sq", ratio(1))
-    object.__setattr__(self, "mode", EXACT)
+    object.__setattr__(self, "values", tuple(values))
+    object.__setattr__(self, "scale_sq", real(scale_sq, mode))
+    object.__setattr__(self, "mode", mode)
     return self
 
 
@@ -587,11 +604,7 @@ def substructure(g, vertices):
     labels and the pair matrix of g, sliced."""
     if not isinstance(g, HermitianStructure):
         raise InputError("substructure takes a HermitianStructure")
-    vs = sorted(set(vertices))
-    if not vs:
-        raise InputError("substructure needs at least one vertex")
-    for v in vs:
-        _check_vertex(g.n, v)
+    vs = _sorted_vertices(g.n, vertices, "substructure")
     labels = g.labels
     a, d = _label_matrix(g)
     return _from_pairs(
@@ -742,11 +755,14 @@ def normalize_at(g, w):
         one if x == w else g.labels[w][x].scale(1 / m)
         for x in range(g.n)
     ]
-    selector = _built_selector(values, 1 / m)
+    (pairs,), q = _cleared((values,), mode)
+    selector = _selector_from_pairs(pairs, q, mode, 1 / m, values)
     if not apply_selector(g, selector) == normalized:
-        if mode != EXACT:
-            raise _too_close("the normalizing selector misses the normal form")
-        raise InvariantError("normalizing selector failed to reproduce the normal form")
+        raise _failed(
+            mode,
+            "normalizing selector failed to reproduce the normal form",
+            _too_close("the normalizing selector misses the normal form"),
+        )
     return normalized, selector
 
 
@@ -851,9 +867,12 @@ def are_equivalent(g, h):
         values.append(
             (h.labels[0][v].conj() * u0 * g.labels[0][v]).scale(1 / denominator)
         )
-    witness = _built_selector(values)
+    (pairs,), q = _cleared((values,), mode)
+    witness = _selector_from_pairs(pairs, q, mode, values=values)
     if not apply_selector(g, witness) == h:
-        if mode != EXACT:
-            raise _too_close("the equivalence witness misses the target")
-        raise InvariantError("equivalence witness failed to reproduce the target")
+        raise _failed(
+            mode,
+            "equivalence witness failed to reproduce the target",
+            _too_close("the equivalence witness misses the target"),
+        )
     return EquivalenceReport(True, witness=witness)

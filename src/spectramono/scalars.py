@@ -19,7 +19,9 @@ This module is the only one that reads the tolerance. It owns:
 - _compare_polys, the approx comparison of two coefficient lists, which
   also reports whether it sat close enough to its decision to be fragile;
 - _too_close, the InputError for approx labels whose derived values
-  drift past the tolerance that each label passed on its own.
+  drift past the tolerance that each label passed on its own;
+- _failed, what a failed internal check raises: an InvariantError in
+  exact mode, the given InputError in approx mode.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 
-from .errors import InputError, ModeMixError
+from .errors import InputError, InvariantError, ModeMixError
 
 try:
     from gmpy2 import mpq as _rat
@@ -118,6 +120,14 @@ def _too_close(what):
         f"approx labels sit too close to the tolerance: {what} by more than "
         f"eps {_eps!r}; exact labels or another eps decide it"
     )
+
+
+def _failed(mode, message, error):
+    """The error for a failed check on values computed from labels:
+    InvariantError(message) in exact mode, where only a bug can fail it,
+    and the given InputError in approx mode, where rounding that the
+    tolerance cannot absorb can."""
+    return InvariantError(message) if mode == EXACT else error
 
 
 def real(value, mode):
@@ -319,14 +329,10 @@ class GaussianScalar:
         return GaussianScalar(self.re * factor, self.im * factor, self.mode)
 
     def is_zero(self):
-        if self.mode == EXACT:
-            return self.re == 0 and self.im == 0
-        return abs(self.re) <= _eps and abs(self.im) <= _eps
+        return negligible(self.re, 0, self.mode) and negligible(self.im, 0, self.mode)
 
     def is_real(self):
-        if self.mode == EXACT:
-            return self.im == 0
-        return abs(self.im) <= _eps
+        return negligible(self.im, 0, self.mode)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianScalar):
@@ -334,7 +340,9 @@ class GaussianScalar:
         self._require_same_mode(other)
         if self.mode == EXACT:
             return self.re == other.re and self.im == other.im
-        return abs(self.re - other.re) <= _eps and abs(self.im - other.im) <= _eps
+        return negligible(self.re - other.re, 0, APPROX) and negligible(
+            self.im - other.im, 0, APPROX
+        )
 
     def __hash__(self):
         if self.mode == APPROX:

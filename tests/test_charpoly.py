@@ -8,7 +8,7 @@ import genutil
 from spectramono.charpoly import (
     RealPolynomial,
     _cross_checked,
-    _det_exact,
+    _det,
     _pair_dot,
     _recurrence,
     char_poly,
@@ -251,6 +251,33 @@ class TestDeterminant:
                 refused += 1
         assert refused > 0
 
+    def test_approx_pivot_has_the_largest_norm(self):
+        """A label of 2^-40 at (0, 1) is the first nonzero entry of column
+        0. Elimination swaps in the row of largest norm instead, so the
+        float determinant of these exactly representable labels stays within
+        1e-11 (relative) of the exact one; a tiny pivot would not."""
+        r = genutil.rng(17)
+        for _ in range(60):
+            n = r.randrange(4, 7)
+            rows = [[GaussianScalar.exact(0)] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(x + 1, n):
+                    z = GaussianScalar.exact(r.randint(-3, 3), r.randint(-3, 3))
+                    if (x, y) == (0, 1):
+                        z = GaussianScalar.exact(rational(1) / 2**40)
+                    rows[x][y], rows[y][x] = z, z.conj()
+            g = HermitianStructure(rows)
+            exact = determinant(g).re
+            approx = determinant(genutil.approx_copy(g)).re
+            assert abs(approx - exact) <= 1e-11 * max(1, abs(exact))
+
+    def test_exact_elimination_checks_each_division(self):
+        """Bareiss divisions are exact on Gaussian integers only; entries
+        with denominators break that, and the remainder check stops it."""
+        half, third, one, zero = (rational("1/2"), 0), (rational("1/3"), 0), (1, 0), (0, 0)
+        with pytest.raises(InvariantError, match="not exact"):
+            _det([[half, one, one], [one, zero, one], [one, one, third]], 3, EXACT)
+
     def test_cross_check_failure_is_input_in_approx_mode_only(self):
         for mode, error in ((EXACT, InvariantError), (APPROX, InputError)):
             one = 1 if mode == EXACT else 1.0
@@ -293,7 +320,8 @@ def test_coefficient_identity():
     family has pairwise-coprime label denominators, so the integer
     recurrence runs on D * M with a large D before rescaling. The third
     family is float copies in approx mode, where the minors come from the
-    separate complex elimination and the two sides agree within eps."""
+    same Bareiss elimination on complex floats and the two sides agree
+    within eps."""
     r = genutil.rng(16)
     for family in (genutil.random_hermitian, genutil.random_coprime_hermitian):
         for _ in range(25):
@@ -359,7 +387,7 @@ class TestKernelParity:
             n = len(a)
             descending, _ = _recurrence(a, EXACT)
             for x in range(-3, n - 2):
-                assert _det_exact(self._shifted(a, x), n) == (self._value(descending, x), 0)
+                assert _det(self._shifted(a, x), n, EXACT) == (self._value(descending, x), 0)
 
     def test_adjugates_invert_the_shifted_matrix(self):
         for a in self._matrices():

@@ -456,7 +456,7 @@ class TestC3ViaDeterminants:
         """Elimination and the recurrence's P(0) must agree, and the
         elimination determinant must be real, on each 4-subset."""
         g = i_representation(hat(paley_tournament(7)))
-        recurrence, det_exact = classify._recurrence, classify._det_exact
+        recurrence, det = classify._recurrence, classify._det
 
         def shifted_constant_term(a, mode, points=()):
             descending, adjugates = recurrence(a, mode, points)
@@ -467,7 +467,7 @@ class TestC3ViaDeterminants:
             c3_via_determinants(g, 0, 1, 2)
         monkeypatch.setattr(classify, "_recurrence", recurrence)
         monkeypatch.setattr(
-            classify, "_det_exact", lambda a, n: (det_exact(a, n)[0], rational(1))
+            classify, "_det", lambda a, n, mode: (det(a, n, mode)[0], rational(1))
         )
         with pytest.raises(InvariantError, match="must be real"):
             c3_via_determinants(g, 0, 1, 2)
@@ -529,8 +529,8 @@ class TestIntegerKernels:
         )
         seen = []
         self._spy(monkeypatch, classify, "pair_product", seen)
-        self._spy(monkeypatch, classify, "_det_exact", seen)
-        self._spy(monkeypatch, charpoly, "_det_exact", seen)
+        self._spy(monkeypatch, classify, "_det", seen)
+        self._spy(monkeypatch, charpoly, "_det", seen)
         self._spy(monkeypatch, monomorphy, "_recurrence", seen)
         for g in structures:
             assert any(e.re.denominator > 1 or e.im.denominator > 1 for row in g.labels for e in row)
@@ -542,7 +542,7 @@ class TestIntegerKernels:
             is_k_spectrally_monomorphic(g, 4)
         assert c3_via_determinants(third_hat, 0, 1, 2) == 2
         names = {name for name, _ in seen}
-        assert names == {"pair_product", "_det_exact", "_recurrence"}
+        assert names == {"pair_product", "_det", "_recurrence"}
         # plain ints on the fractions backend; gmpy2's numerators are mpz
         integers = {int, type(rational(1).numerator)}
         for name, args in seen:

@@ -399,6 +399,34 @@ class TestErrorsAndEnvironment:
             "message": "approx labels too large: phase products overflow floats",
         }
 
+    @pytest.mark.parametrize(
+        "kind, entries, argv, message",
+        [
+            ("hermitian", [["0", "1"], ["2", "0"]], ["check", "--k", "1"], "are not conjugate"),
+            ("hermitian", [["1", "1"], ["1", "0"]], ["classify", "--k", "3"], "diagonal entry at 0"),
+            ("hermitian", [["0", "i"], ["i", "0"]], ["c3", "--pair", "0,1"], "are not conjugate"),
+            (
+                "tournament",
+                [["0", "1"], ["1", "0"]],
+                ["convert", "drt-to-hadamard"],
+                "pair (0,1) must be dominated in exactly one direction",
+            ),
+        ],
+        ids=["check", "classify", "c3", "convert"],
+    )
+    def test_invalid_structure_document_is_an_input_error(
+        self, kind, entries, argv, message, tmp_path, capsys
+    ):
+        """Well-formed JSON whose entries break a structure's rules exits 2
+        with the message of the broken rule, not a traceback."""
+        doc = {"entries": entries, "format_version": "1", "kind": kind, "mode": "exact", "n": 2}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, *argv, "--input", str(path))
+        assert code == 2
+        assert report["error"]["kind"] == "input"
+        assert message in report["error"]["message"]
+
     def test_python_m_runs_the_cli(self, capsys):
         """`python -m spectramono` from the source tree, with the package
         not installed, prints what main prints in process."""

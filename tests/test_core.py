@@ -7,7 +7,8 @@ import pytest
 import genutil
 from spectramono import classify, core
 from spectramono.classify import classify_k3
-from spectramono.constructions import pair_cycle_counts
+from spectramono.charpoly import RealPolynomial
+from spectramono.constructions import SignMatrix, closed_form_deletion_poly, pair_cycle_counts
 from spectramono.core import (
     ConstantRepresentationWarning,
     HermitianStructure,
@@ -376,6 +377,21 @@ class TestTournament:
             (lambda: Tournament.from_pair_bits(3, -1), "pair code"),
             (lambda: Tournament.from_pair_bits(3, 8), "pair code"),
             (lambda: pair_cycle_counts(THREE_CYCLE, 0, "1"), "out of range"),
+            (lambda: Tournament.from_matrix([[0, True], [0, 0]]), "0 or 1, got True"),
+            (lambda: Tournament.from_matrix([[0, 1.0], [0, 0]]), "0 or 1, got 1.0"),
+            (lambda: Tournament.from_matrix(None), "must be an iterable"),
+            (lambda: closed_form_deletion_poly(1, True), "d must be"),
+            (lambda: closed_form_deletion_poly(1, 1.0), "d must be"),
+            (lambda: RealPolynomial([0, 1], EXACT).power(True), "nonnegative int"),
+            (lambda: HermitianStructure(None), "must be an iterable"),
+            (lambda: HermitianStructure([None]), "must be an iterable"),
+            (lambda: Selector(None), "must be an iterable"),
+            (lambda: SignMatrix(None), "must be an iterable"),
+            (lambda: RealPolynomial(None, EXACT), "must be an iterable"),
+            (lambda: substructure(constant_structure(3, ONE), None), "must be an iterable"),
+            (lambda: THREE_CYCLE.subtournament(None), "must be an iterable"),
+            (lambda: THREE_CYCLE.subtournament(["x", 1]), "out of range"),
+            (lambda: constant_structure(1.5, ONE), "at least one vertex"),
         ],
         ids=[
             "is_transitive",
@@ -392,6 +408,21 @@ class TestTournament:
             "negative_pair_code",
             "pair_code_too_large",
             "str_pair_vertex",
+            "bool_dominance_cell",
+            "float_dominance_cell",
+            "no_dominance_matrix",
+            "bool_deletion_count",
+            "float_deletion_count",
+            "bool_polynomial_power",
+            "no_labels",
+            "no_label_row",
+            "no_selector_values",
+            "no_sign_rows",
+            "no_coefficients",
+            "no_substructure_vertices",
+            "no_subtournament_vertices",
+            "str_subtournament_vertex",
+            "float_constant_order",
         ],
     )
     def test_bad_arguments_are_input_errors(self, call, message):
@@ -733,6 +764,19 @@ class TestAreEquivalent:
                 are_equivalent(g, g)
             with pytest.raises(InputError, match="approx labels too large"):
                 g.common_modulus_squared()
+
+    def test_witness_within_eps_of_zero_is_refused(self):
+        """Labels of modulus 1e10 against 1e-8 need witness values of
+        modulus about 1e-9, which approx mode counts as zero, as Selector
+        does: the witness drifts past the tolerance and is refused as
+        input. The other direction needs values of modulus about 1e9."""
+        c = c_representation(transitive_tournament(5), GaussianScalar.approx(0.6, 0.8))
+        one = GaussianScalar.approx(1.0)
+        g = apply_selector(c, Selector.constant(5, one, scale_sq=1e10))
+        h = apply_selector(c, Selector.constant(5, one, scale_sq=1e-8))
+        with pytest.raises(InputError, match="selector values differ in modulus"):
+            are_equivalent(g, h)
+        assert are_equivalent(h, g).witness is not None
 
     def test_reflexive(self):
         g = i_representation(THREE_CYCLE)
