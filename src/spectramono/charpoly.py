@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .combinat import colex_subsets
-from .core import HermitianStructure, _descaled, _label_matrix, _tuple_of
+from .core import HermitianStructure, _descaled, _finite, _label_matrix, _tuple_of
 from .errors import InputError, InvariantError, ModeMixError
 from .scalars import APPROX, EXACT, GaussianScalar, _failed, close, negligible, real
 
@@ -456,9 +456,10 @@ def _over(pair, re, im):
 def _minor(a, subset, mode):
     """(re, im) of the elimination determinant of the principal submatrix on
     `subset` of a matrix (A, D) in _label_matrix form: in exact mode D^|subset|
-    times the minor of M, checked to be real; approx mode leaves the
-    imaginary rounding to the caller."""
-    re, im = _det(_principal_submatrix(a, subset), len(subset), mode)
+    times the minor of M, checked to be real; in approx mode checked to be
+    finite, leaving the imaginary rounding to the caller."""
+    pair = _det(_principal_submatrix(a, subset), len(subset), mode)
+    re, im = _finite(pair, mode, "principal minors")
     if mode == EXACT and im != 0:
         raise InvariantError("principal minor of a Hermitian matrix must be real")
     return re, im

@@ -77,8 +77,10 @@ class HermitianStructure:
     (A, D) of _label_matrix, checks the zero diagonal and the conjugate
     symmetry on those pairs, and keeps them for every kernel. Structures
     the library builds itself (the selector action, representations,
-    substructures, canonical forms) arrive as such pairs through
-    _from_pairs, are checked on them and get their scalars from them.
+    substructures, normal and canonical forms) arrive as such pairs
+    through _from_pairs and get their scalars from them. Both routes end
+    in _assembled, the one place that checks a structure and sets its
+    slots.
     """
 
     __slots__ = ("n", "mode", "labels", "_matrix")
@@ -100,12 +102,7 @@ class HermitianStructure:
                     mode = entry.mode
                 elif entry.mode != mode:
                     raise ModeMixError("labels mix exact and approx scalars")
-        matrix = _cleared(rows, mode)
-        _check_hermitian(matrix[0], mode)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "labels", rows)
-        object.__setattr__(self, "_matrix", matrix)
+        _assembled(self, *_cleared(rows, mode), mode, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianStructure is immutable")
@@ -208,31 +205,34 @@ def _from_pairs(a, d, mode, labels=None):
     tuple of row tuples of (re, im) pairs) that the library computed: int
     pairs over a positive int d in exact mode, float pairs with d None in
     approx mode. Its (A, D) is what _cleared gives for those labels, so
-    exact mode first divides out gcd(d, every component). It is checked
-    by _check_hermitian like any structure. Exact mode makes one scalar per
-    distinct pair; approx mode one per entry, before the check, so that a
+    exact mode first divides out gcd(d, every component). Exact mode makes
+    one scalar per distinct pair; approx mode one per entry, so that a
     non-finite component is the InputError of GaussianScalar (merging
     entries by == would merge 0.0 and -0.0). A caller that already holds
-    the scalars of a / d passes them as labels."""
-    if mode == EXACT:
-        if d != 1:
-            g = math.gcd(d, *(c for row in a for pair in row for c in pair))
-            if g != 1:
-                d //= g
-                a = tuple([tuple([(re // g, im // g) for re, im in row]) for row in a])
-        _check_hermitian(a, mode)
-        if labels is None:
-            made = {}
-            for row in a:
-                for pair in row:
-                    if pair not in made:
-                        made[pair] = GaussianScalar(ratio(pair[0], d), ratio(pair[1], d), mode)
-            labels = tuple([tuple([made[pair] for pair in row]) for row in a])
-    else:
-        if labels is None:
-            labels = tuple([tuple([GaussianScalar(re, im, mode) for re, im in row]) for row in a])
-        _check_hermitian(a, mode)
-    self = object.__new__(HermitianStructure)
+    the scalars of a / d passes them as labels. It ends in _assembled,
+    as HermitianStructure does."""
+    if mode == EXACT and d != 1:
+        g = math.gcd(d, *(c for row in a for pair in row for c in pair))
+        if g != 1:
+            d //= g
+            a = tuple([tuple([(re // g, im // g) for re, im in row]) for row in a])
+    if labels is None and mode == EXACT:
+        made = {}
+        for row in a:
+            for pair in row:
+                if pair not in made:
+                    made[pair] = GaussianScalar(ratio(pair[0], d), ratio(pair[1], d), mode)
+        labels = tuple([tuple([made[pair] for pair in row]) for row in a])
+    elif labels is None:
+        labels = tuple([tuple([GaussianScalar(re, im, mode) for re, im in row]) for row in a])
+    return _assembled(object.__new__(HermitianStructure), a, d, mode, labels)
+
+
+def _assembled(self, a, d, mode, labels):
+    """self, a new HermitianStructure, with labels, the scalars of the pair
+    matrix a / d: a is checked by _check_hermitian and every slot is set.
+    Both constructors end here."""
+    _check_hermitian(a, mode)
     object.__setattr__(self, "n", len(a))
     object.__setattr__(self, "mode", mode)
     object.__setattr__(self, "labels", labels)
@@ -483,9 +483,17 @@ class Selector:
     never needs to be materialized: the action on a structure multiplies two
     selector entries, so only scale_sq itself enters the arithmetic. This is
     what lets normalization stay exact when the common modulus is irrational.
+
+    Construction clears the values once into (re, im) pairs (S, R), as a
+    structure clears its labels (_cleared): Gaussian integers S over the
+    lcm R of the value denominators in exact mode, the float components
+    with R None in approx mode. _selector_assembled checks the values on
+    those pairs, and the selector keeps them for its action. Selectors the
+    library builds itself arrive as pairs through _selector_from_pairs and
+    end in the same check.
     """
 
-    __slots__ = ("values", "scale_sq", "mode")
+    __slots__ = ("values", "scale_sq", "mode", "_pairs")
 
     def __init__(self, values, scale_sq=1):
         values = _tuple_of(values, "selector values")
@@ -499,30 +507,20 @@ class Selector:
                 mode = v.mode
             elif v.mode != mode:
                 raise ModeMixError("selector values mix modes")
-            if v.is_zero():
-                raise InvariantError("selector values must be nonzero")
-        scale_sq = real(scale_sq, mode)
-        if not scale_sq > 0:
-            raise InvariantError("scale_sq must be positive")
-        msq = values[0].modulus_squared()
-        for v in values[1:]:
-            other = v.modulus_squared()
-            # the literal test spares equal exact moduli a rational subtraction
-            if other != msq and not negligible(other - msq, msq, mode):
-                raise InvariantError("selector values must share one modulus")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "scale_sq", scale_sq)
-        object.__setattr__(self, "mode", mode)
+        (pairs,), r = _cleared((values,), mode)
+        _selector_assembled(self, pairs, r, mode, scale_sq, values)
 
     def __setattr__(self, name, value):
         raise AttributeError("Selector is immutable")
 
     @classmethod
     def ones(cls, n, mode=EXACT):
-        return cls([GaussianScalar.one(mode)] * n)
+        return cls.constant(n, GaussianScalar.one(mode))
 
     @classmethod
     def constant(cls, n, value, scale_sq=1):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError(f"a selector size must be an int, got {n!r}")
         return cls([value] * n, scale_sq)
 
     @property
@@ -569,34 +567,55 @@ class Selector:
         return f"Selector(n={self.n}, mode={self.mode!r}, scale_sq={self.scale_sq})"
 
 
+def _selector_assembled(self, pairs, r, mode, scale_sq, values):
+    """self, a new Selector, with values, the scalars of the pairs over r
+    (pairs as they are in approx mode), and scale_sq as real makes it: the
+    values are checked on their pairs and every slot is set. Both
+    constructors end here. A value must be nonzero by the rule of
+    GaussianScalar.is_zero, scale_sq positive, and the norms re^2 + im^2
+    equal, within negligible next to the first; exact mode tests the int
+    norms literally. A failed check is an InvariantError."""
+    norms = [re * re + im * im for re, im in pairs]
+    if mode == EXACT:
+        zero = 0 in norms
+    else:
+        zero = any(negligible(re, 0, mode) and negligible(im, 0, mode) for re, im in pairs)
+    if zero:
+        raise InvariantError("selector values must be nonzero")
+    scale_sq = real(scale_sq, mode)
+    if not scale_sq > 0:
+        raise InvariantError("scale_sq must be positive")
+    msq = norms[0]
+    # the count spares equal exact norms every call
+    if norms.count(msq) != len(norms) and not all(
+        other == msq or negligible(other - msq, msq, mode) for other in norms
+    ):
+        raise InvariantError("selector values must share one modulus")
+    object.__setattr__(self, "values", values)
+    object.__setattr__(self, "scale_sq", scale_sq)
+    object.__setattr__(self, "mode", mode)
+    object.__setattr__(self, "_pairs", (pairs, r))
+    return self
+
+
 def _selector_from_pairs(pairs, q, mode, scale_sq=1, values=None):
     """The Selector with values pairs / q and scale_sq, for selector values
     the library computed: int pairs over an int q > 0 in exact mode, float
-    pairs with q None in approx mode. Exact mode checks the values, each
-    nonzero and all of one modulus, literally on the int norms
-    re^2 + im^2, and a failed check is a broken invariant. Approx mode
-    leaves the checks to Selector, where a failed one is _too_close input.
+    pairs with q None in approx mode. It keeps those pairs as its (S, R)
+    and ends in _selector_assembled, as Selector does. A failed check is a
+    broken invariant in exact mode and _too_close input in approx mode.
     A caller that already holds the scalars of pairs / q passes them as
     values."""
-    if mode != EXACT:
-        if values is None:
-            values = [GaussianScalar(re, im, mode) for re, im in pairs]
-        try:
-            return Selector(values, scale_sq)
-        except InvariantError:
-            raise _too_close("the selector values differ in modulus") from None
-    norms = [re * re + im * im for re, im in pairs]
-    if not all(norms):
-        raise InvariantError("selector values must be nonzero")
-    if norms.count(norms[0]) != len(norms):
-        raise InvariantError("selector values must share one modulus")
-    if values is None:
+    if values is None and mode == EXACT:
         values = [GaussianScalar(ratio(re, q), ratio(im, q), mode) for re, im in pairs]
-    self = object.__new__(Selector)
-    object.__setattr__(self, "values", tuple(values))
-    object.__setattr__(self, "scale_sq", real(scale_sq, mode))
-    object.__setattr__(self, "mode", mode)
-    return self
+    elif values is None:
+        values = [GaussianScalar(re, im, mode) for re, im in pairs]
+    try:
+        return _selector_assembled(
+            object.__new__(Selector), tuple(pairs), q, mode, scale_sq, tuple(values)
+        )
+    except InvariantError as exc:
+        raise _failed(mode, str(exc), _too_close("the selector values differ in modulus")) from None
 
 
 def substructure(g, vertices):
@@ -618,16 +637,16 @@ def substructure(g, vertices):
 def apply_selector(g, d):
     """g^d with labels scale_sq * d(x) * g(x, y) * conj(d(y)).
 
-    Exact mode clears denominators once: the labels become Gaussian
-    integers A over D (_label_matrix) and the selector values Gaussian
-    integers S over R, and each entry is the integer product
-    S(x) A(x, y) conj(S(y)) times the numerator of scale_sq, over
-    R^2 D times its denominator. Approx mode runs the same loop on the
-    float components and multiplies by scale_sq; its operations are those
-    of GaussianScalar arithmetic, in the same order, so the floats agree
-    bit for bit. The diagonal is an explicit zero pair. The result is
-    built by _from_pairs and checked like any structure, which is the
-    check on this arithmetic.
+    It reads the pairs both values keep: the labels as Gaussian integers A
+    over D (_label_matrix) and the selector values as Gaussian integers S
+    over R in exact mode, where each entry is the integer product
+    S(x) A(x, y) conj(S(y)) times the numerator of scale_sq, over R^2 D
+    times its denominator. Approx mode runs the same loop on the float
+    components and multiplies by scale_sq; its operations are those of
+    GaussianScalar arithmetic, in the same order, so the floats agree bit
+    for bit. The diagonal is an explicit zero pair. The result is built by
+    _from_pairs and checked like any structure, which is the check on this
+    arithmetic.
     """
     if not isinstance(g, HermitianStructure) or not isinstance(d, Selector):
         raise InputError("apply_selector takes a HermitianStructure and a Selector")
@@ -637,7 +656,7 @@ def apply_selector(g, d):
         raise InputError(f"selector covers {d.n} vertices, structure has {g.n}")
     mode = g.mode
     labels, den = _label_matrix(g)
-    (values,), r = _cleared((d.values,), mode)
+    values, r = d._pairs
     num, zero = d.scale_sq, (0.0, 0.0)
     if mode == EXACT:
         num, den, zero = num.numerator, den * r * r * num.denominator, (0, 0)
@@ -691,12 +710,13 @@ def i_representation(t, mode=EXACT):
     return c_representation(t, GaussianScalar.i_unit(mode))
 
 
-def _finite(pair, mode):
-    """pair, an approx phase product or a product of two, checked to be
-    finite: labels that fit floats can still overflow there."""
+def _finite(pair, mode, what="phase products"):
+    """pair, an approx value formed from labels, such as a phase product or
+    a product of two, checked to be finite: labels that fit floats can
+    still overflow there. what names the values in the InputError."""
     re, im = pair
     if mode != EXACT and not (math.isfinite(re) and math.isfinite(im)):
-        raise InputError("approx labels too large: phase products overflow floats")
+        raise InputError(f"approx labels too large: {what} overflow floats")
     return pair
 
 
@@ -712,58 +732,69 @@ def normalize_at(g, w):
 
     The selector is returned in split form: unit values with scale_sq = 1/m,
     so its action on g is exact even though |delta| = 1/sqrt(m) may not be.
+
+    Both are built from the pairs of _label_matrix, as the canonical
+    reduction builds its own: the normal form by _from_pairs from the phase
+    products of A, and the selector by _selector_from_pairs from the row
+    A(w, .), which is D * m times its values. In exact mode D * m is an
+    int, the root of the common modulus squared of A, and both are exact
+    over a power of it; approx mode scales the floats by 1/m and 1/m^3.
+    The selector is then re-applied to g and checked to give the normal
+    form.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("normalize_at takes a HermitianStructure")
     _check_vertex(g.n, w)
     if g.n < 2:
         raise InputError("normalization needs at least two vertices")
-    msq = g.common_modulus_squared()
-    if g.mode == EXACT:
-        m = rational_sqrt(msq)
-        if m is None:
+    mode = g.mode
+    a, d = _label_matrix(g)
+    msq = common_modulus_squared_of_pairs(a, mode)
+    if mode == EXACT:
+        lift = math.isqrt(msq)
+        if lift * lift != msq:
             raise ExactnessError(
-                f"common modulus squared {msq} is not a perfect square; "
+                f"common modulus squared {_descaled(msq, d, 2)} is not a perfect square; "
                 "the normalized labels are not Gaussian rationals"
             )
-        m_cubed = msq * m
+        s = s3 = 1
+        zero, q, q3, scale_sq = 0, lift, lift**3, ratio(d, lift)
     else:
         m = math.sqrt(msq)
-        m_cubed = msq * m
-    mode = g.mode
-    one = GaussianScalar.one(mode)
-    zero = GaussianScalar.zero(mode)
-    # the phase product g(w,u) g(u,v) conj(g(w,v)) is that of the pairs A
-    # of _label_matrix divided by D^3
-    p, d = _label_matrix(g)
-    f = 1.0 if d is None else ratio(1, d)
-    factor = f**3 / m_cubed
+        lift, s, s3, scale_sq = 1.0, 1 / m, 1 / (msq * m), 1 / m
+        zero, q, q3 = 0.0, None, None
+    # selector pairs are lift times their values, label pairs lift^3 times
+    one, row = (lift**3, zero), a[w]
     rows = []
     for u in range(g.n):
-        row = []
+        out = []
         for v in range(g.n):
             if u == v:
-                row.append(zero)
+                out.append((zero, zero))
             elif u == w or v == w:
-                row.append(one)
+                out.append(one)
             else:
-                re, im = _finite(pair_product(p[w][u], p[u][v], p[w][v]), mode)
-                row.append(GaussianScalar(re * factor, im * factor, mode))
-        rows.append(row)
-    normalized = HermitianStructure(rows)
-    values = [
-        one if x == w else g.labels[w][x].scale(1 / m)
-        for x in range(g.n)
-    ]
-    (pairs,), q = _cleared((values,), mode)
-    selector = _selector_from_pairs(pairs, q, mode, 1 / m, values)
-    if not apply_selector(g, selector) == normalized:
-        raise _failed(
-            mode,
-            "normalizing selector failed to reproduce the normal form",
-            _too_close("the normalizing selector misses the normal form"),
-        )
+                re, im = _finite(pair_product(row[u], a[u][v], row[v]), mode)
+                out.append((re * s3, im * s3))
+        rows.append(tuple(out))
+    normalized = _from_pairs(tuple(rows), q3, mode)
+    values = [(lift, zero) if x == w else (re * s, im * s) for x, (re, im) in enumerate(row)]
+    selector = _selector_from_pairs(values, q, mode, scale_sq)
+    _check_action(g, selector, normalized, "normalizing selector", "normal form")
     return normalized, selector
+
+
+def _check_action(g, selector, target, name, what):
+    """Raise unless apply_selector(g, selector) == target: re-applying a
+    selector the library built is the check on the arithmetic that built
+    it. A failure is a broken invariant in exact mode and _too_close input
+    in approx mode; name and what word both messages."""
+    if not apply_selector(g, selector) == target:
+        raise _failed(
+            g.mode,
+            f"{name} failed to reproduce the {what}",
+            _too_close(f"the {name} misses the {what}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -869,10 +900,5 @@ def are_equivalent(g, h):
         )
     (pairs,), q = _cleared((values,), mode)
     witness = _selector_from_pairs(pairs, q, mode, values=values)
-    if not apply_selector(g, witness) == h:
-        raise _failed(
-            mode,
-            "equivalence witness failed to reproduce the target",
-            _too_close("the equivalence witness misses the target"),
-        )
+    _check_action(g, witness, h, "equivalence witness", "target")
     return EquivalenceReport(True, witness=witness)

@@ -132,14 +132,16 @@ def _failed(mode, message, error):
 
 def real(value, mode):
     """value as a real number of the given mode: rational(value) in exact
-    mode, float(value) in approx mode, where a value too large for a float
-    is an InputError rather than an OverflowError."""
+    mode, float(value) in approx mode, where a value too large for a float,
+    or one float() cannot read, is an InputError."""
     if mode == EXACT:
         return rational(value)
     try:
         return float(value)
     except OverflowError:
         raise InputError("approx value too large: it overflows floats") from None
+    except (TypeError, ValueError):
+        raise InputError(f"cannot interpret {value!r} as an approx float") from None
 
 
 def rational(value):

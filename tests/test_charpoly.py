@@ -30,7 +30,7 @@ from spectramono.core import (
     transitive_tournament,
 )
 from spectramono.errors import InputError, InvariantError, ModeMixError
-from spectramono.monomorphy import is_k_spectrally_monomorphic
+from spectramono.monomorphy import det_constancy, is_k_spectrally_monomorphic
 from spectramono.scalars import APPROX, EXACT, GaussianScalar, close, rational
 
 THREE_CYCLE = Tournament.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -305,6 +305,26 @@ class TestPrincipalMinorSum:
             n = r.randrange(2, 6)
             g = genutil.random_hermitian(r, n)
             assert principal_minor_sum(g, n) == determinant(g)
+
+    def test_overflowing_minors_are_input_errors(self):
+        """Approx labels whose minors overflow floats stop with an input
+        error that names the minors, on every route through the
+        elimination, rather than with a nan or inf scalar."""
+        message = "approx labels too large: principal minors overflow floats"
+        zero = GaussianScalar.zero(APPROX)
+        for re, im in ((1e150, 1e150), (1e150, -1e150), (6e109, 8e109), (6e109, -8e109)):
+            z = GaussianScalar.approx(re, im)
+            for n in (3, 5):
+                rows = [[z if x < y else z.conj() for y in range(n)] for x in range(n)]
+                for x in range(n):
+                    rows[x][x] = zero
+                g = HermitianStructure(rows)
+                with pytest.raises(InputError, match=message):
+                    determinant(g)
+                for p in range(3, n + 1, 2):
+                    for route in (principal_minor_sum, det_constancy):
+                        with pytest.raises(InputError, match=message):
+                            route(g, p)
 
     def test_order_validation(self):
         g = constant_structure(3, GaussianScalar.one())

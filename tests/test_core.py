@@ -1,5 +1,6 @@
 """Tests for structures, tournaments, selectors, normalization, equivalence."""
 
+import math
 import time
 
 import pytest
@@ -35,7 +36,7 @@ from spectramono.errors import (
     NotTwoMonomorphicError,
 )
 from spectramono.monomorphy import is_k_spectrally_monomorphic
-from spectramono.scalars import APPROX, EXACT, GaussianScalar, get_eps, rational
+from spectramono.scalars import APPROX, EXACT, GaussianScalar, get_eps, negligible, rational, real
 
 ONE = GaussianScalar.one()
 I = GaussianScalar.i_unit()
@@ -392,6 +393,15 @@ class TestTournament:
             (lambda: THREE_CYCLE.subtournament(None), "must be an iterable"),
             (lambda: THREE_CYCLE.subtournament(["x", 1]), "out of range"),
             (lambda: constant_structure(1.5, ONE), "at least one vertex"),
+            (lambda: GaussianScalar(None, 0, APPROX), "cannot interpret None as an approx"),
+            (lambda: GaussianScalar.approx(1.0).scale(None), "cannot interpret None"),
+            (lambda: RealPolynomial([None], APPROX), "cannot interpret None"),
+            (lambda: RealPolynomial(["x"], APPROX), "cannot interpret 'x' as an approx"),
+            (lambda: RealPolynomial([1.0], APPROX).evaluate("x"), "cannot interpret 'x'"),
+            (lambda: Selector([GaussianScalar.approx(1.0)], None), "cannot interpret None"),
+            (lambda: Selector.ones(None), "selector size must be an int, got None"),
+            (lambda: Selector.ones(True), "selector size must be an int, got True"),
+            (lambda: Selector.constant(1.5, ONE), "selector size must be an int, got 1.5"),
         ],
         ids=[
             "is_transitive",
@@ -423,6 +433,15 @@ class TestTournament:
             "no_subtournament_vertices",
             "str_subtournament_vertex",
             "float_constant_order",
+            "none_approx_component",
+            "none_approx_scale",
+            "none_approx_coefficient",
+            "str_approx_coefficient",
+            "str_approx_point",
+            "none_approx_scale_sq",
+            "none_selector_size",
+            "bool_selector_size",
+            "float_selector_size",
         ],
     )
     def test_bad_arguments_are_input_errors(self, call, message):
@@ -430,7 +449,148 @@ class TestTournament:
             call()
 
 
+def _scalar_rule_selector(values, scale_sq):
+    """The selector checks as GaussianScalar arithmetic states them, in
+    their order: is_zero on every value, scale_sq positive once real makes
+    it, then modulus_squared of each value against the first's within
+    negligible. The oracle for the checks on cleared pairs."""
+    mode = values[0].mode
+    if any(v.is_zero() for v in values):
+        raise InvariantError("selector values must be nonzero")
+    if not real(scale_sq, mode) > 0:
+        raise InvariantError("scale_sq must be positive")
+    msq = values[0].modulus_squared()
+    for v in values[1:]:
+        other = v.modulus_squared()
+        if other != msq and not negligible(other - msq, msq, mode):
+            raise InvariantError("selector values must share one modulus")
+
+
+def _perturbed_value_lists(r, mode, count):
+    """Random (values, scale_sq) of one mode whose values share one
+    modulus, with one or two perturbations each, some of them no-ops: a
+    zero value, a value of another modulus, a bad scale_sq, and in approx
+    mode a signed zero, a value eps * (1 +- 1e-3) from zero, or one whose
+    modulus squared sits eps * (1 +- 1e-3) times the tolerance's reference
+    from the common one."""
+    eps = get_eps()
+    for _ in range(count):
+        n = r.randint(1, 6)
+        if mode == EXACT:
+            rho = r.choice((1, 2, rational("3/7"), rational("-5/2")))
+            pool = [v.scale(rho) for v in r.choice((genutil.UNIT_POOL, genutil.MOD5_POOL))]
+            scales = (1, "9/4", 0, -1, "-1/3")
+        else:
+            rho = r.choice((1.0, 1e-6, 3.5, 1e6))
+            angles = [r.uniform(0.0, 6.3) for _ in range(3)] + [0.0, math.pi / 2]
+            pool = [GaussianScalar.approx(rho * math.cos(t), rho * math.sin(t)) for t in angles]
+            scales = (1.0, 2.5, 1e-300, "2.5", 0.0, -0.0, -1.5)
+        values = [r.choice(pool) for _ in range(n)]
+        scale_sq = r.choice(scales[:2])
+        for _ in range(r.choice((1, 1, 2))):
+            x = r.randrange(n)
+            v = values[x]
+            kind = r.choice(
+                ("none", "zero", "other", "scale", "signed zero", "near zero", "near modulus")
+            )
+            if kind == "zero":
+                values[x] = GaussianScalar.zero(mode)
+            elif kind == "other":
+                values[x] = v.scale(2)
+            elif kind == "scale":
+                scale_sq = r.choice(scales)
+            elif mode == APPROX and kind == "signed zero":
+                values[x] = GaussianScalar.approx(r.choice((0.0, -0.0)), r.choice((0.0, -0.0)))
+            elif mode == APPROX and kind == "near zero":
+                delta = eps * r.choice((1 - 1e-3, 1 + 1e-3)) * r.choice((-1, 1))
+                values[x] = r.choice(
+                    [GaussianScalar.approx(delta, 0.0), GaussianScalar.approx(-0.0, delta)]
+                    + [GaussianScalar.approx(delta, delta)]
+                )
+            elif mode == APPROX and kind == "near modulus":
+                v = r.choice(pool)
+                msq = v.modulus_squared()
+                delta = eps * r.choice((1 - 1e-3, 1 + 1e-3)) * max(1.0, msq)
+                target = msq + delta if msq < delta else msq + r.choice((-1, 1)) * delta
+                values[x] = v.scale(math.sqrt(target / msq))
+        yield values, scale_sq
+
+
 class TestSelector:
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_checks_match_the_scalar_rule(self, mode):
+        """Selector checks its values on their cleared pairs; the outcome is
+        that of the scalar rule, error and message, in both modes."""
+        r = genutil.rng(79 if mode == EXACT else 80)
+        outcomes = set()
+        for values, scale_sq in _perturbed_value_lists(r, mode, 1500):
+            expected = _outcome(lambda vs: _scalar_rule_selector(vs, scale_sq), values)
+            assert _outcome(lambda vs: Selector(vs, scale_sq), values) == expected
+            outcomes.add(None if expected is None else expected[1])
+        assert outcomes == {
+            None,
+            "selector values must be nonzero",
+            "scale_sq must be positive",
+            "selector values must share one modulus",
+        }
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_keeps_the_pairs_of_its_values(self, mode):
+        """Both constructors keep pairs (S, R) that describe the values:
+        S / R in exact mode, where Selector takes R to be the lcm of the
+        value denominators, and the components bit for bit in approx mode,
+        signed zeros included."""
+        r = genutil.rng(81 if mode == EXACT else 82)
+        for _ in range(40):
+            n = r.randint(1, 6)
+            d = genutil.random_selector(r, n, scale_pool=(1, "3/7", "9/4"))
+            values, scale_sq = d.values, d.scale_sq
+            if mode == APPROX:
+                values = [
+                    GaussianScalar.approx(*(float(c) or r.choice((0.0, -0.0)) for c in (v.re, v.im)))
+                    for v in values
+                ]
+                scale_sq = float(scale_sq)
+            pairs, q = Selector(values, scale_sq)._pairs
+            if mode == EXACT:
+                assert q == math.lcm(*(c.denominator for v in values for c in (v.re, v.im)))
+                assert [(rational(re) / q, rational(im) / q) for re, im in pairs] == [
+                    (v.re, v.im) for v in values
+                ]
+                k = r.choice((1, 3, 2**70))
+                pairs, q = tuple((re * k, im * k) for re, im in pairs), q * k
+            else:
+                assert q is None and repr(pairs) == repr(tuple((v.re, v.im) for v in values))
+            built = core._selector_from_pairs(list(pairs), q, mode, scale_sq)
+            assert repr(built._pairs) == repr((pairs, q))
+            assert [v.to_text() for v in built.values] == [v.to_text() for v in values]
+
+    def test_action_and_normalization_clear_nothing(self, monkeypatch):
+        """apply_selector and normalize_at read the pairs that the structure
+        and the selector kept when they were built; neither clears a value
+        again."""
+        r = genutil.rng(83)
+        cases = []
+        for _ in range(10):
+            n = r.randrange(2, 7)
+            t = genutil.random_tournament(r, n)
+            g = apply_selector(c_representation(t, UNIT_C), genutil.random_unit_selector(r, n))
+            d = genutil.random_selector(r, n, scale_pool=("3/7", "9/4"))
+            floats = [GaussianScalar.approx(float(v.re), float(v.im)) for v in d.values]
+            cases += [(g, d), (genutil.approx_copy(g), Selector(floats, float(d.scale_sq)))]
+        calls = []
+        original = core._cleared
+
+        def spy(rows, mode):
+            calls.append(rows)
+            return original(rows, mode)
+
+        monkeypatch.setattr(core, "_cleared", spy)
+        for g, d in cases:
+            apply_selector(g, d)
+            normalize_at(g, r.randrange(g.n))
+        assert calls == []
+
     def test_rejects_zero_value(self):
         with pytest.raises(InvariantError):
             Selector([ONE, GaussianScalar.zero()])

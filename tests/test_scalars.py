@@ -297,6 +297,10 @@ class TestApproxMode:
         with pytest.raises(InputError):
             GaussianScalar.approx(float("inf"), 0.0)
 
+    def test_reads_numeric_strings(self):
+        assert GaussianScalar("1.5", " -2 ", APPROX).to_text() == "1.5,-2.0"
+        assert RealPolynomial(["1.5", "1e-3"], APPROX).evaluate("2") == 1.502
+
     @pytest.mark.parametrize(
         "call",
         [
