@@ -12,12 +12,14 @@ computes only its upper triangle and mirrors the rest as conjugates. In
 approx mode the pairs are floats, every entry of each power is formed, and
 each coefficient is checked and formed within the tolerance of scalars.
 Enumerations slice principal submatrices of one such matrix instead of
-building substructures. Determinants come from an independent elimination,
-fraction-free Bareiss elimination with the largest-norm pivot, one loop in
-both modes: over the Gaussian integers in exact mode (det M = det A / D^n),
-where each division by the previous pivot is checked to be exact, and on
-complex floats in approx mode. So the identity P(0) = (-1)^n det M is a
-genuine cross-check rather than a tautology.
+building substructures; in exact mode those of order at most three are
+read from their labels in closed form (_closed_form). Determinants come
+from an independent elimination, fraction-free Bareiss elimination with
+the largest-norm pivot, one loop in both modes: over the Gaussian
+integers in exact mode (det M = det A / D^n), where each division by the
+previous pivot is checked to be exact, and on complex floats in approx
+mode. So the identity P(0) = (-1)^n det M is a genuine cross-check rather
+than a tautology.
 
 In exact mode the same recurrence pass can also accumulate the adjugates
 adj(x_j I - A) at integer points x_j above the spectrum of A. From them
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 
 from .combinat import colex_subsets
-from .core import HermitianStructure, _descaled, _finite, _label_matrix, _tuple_of
+from .core import HermitianStructure, _descaled, _finite, _label_matrix, _tuple_of, pair_product
 from .errors import InputError, InvariantError, ModeMixError
 from .scalars import APPROX, EXACT, GaussianScalar, _failed, close, negligible, real
 
@@ -338,6 +340,28 @@ def _complementary_minors(adjugates, n, t, count):
             - ec * (pr * pr + pi * pi)
         )
     return minors
+
+
+def _closed_form(m, subset):
+    """Descending coefficients of P_A[S] for a subset S of one to three
+    indices of a Hermitian zero-diagonal Gaussian-integer matrix A = m,
+    read from its labels with no recurrence and no division: x for one
+    index, x^2 - |a|^2 for two, and for S = (x, y, z), with a = A(x, y),
+    b = A(y, z) and c = A(x, z), the order-3 identity of the source paper,
+    P_A[S] = x^3 - (|a|^2 + |b|^2 + |c|^2) x - 2 Re(a b conj(c)),
+    the expansion of the 3x3 Hermitian determinant that
+    _complementary_minors also writes out."""
+    if len(subset) == 1:
+        return [1, 0]
+    x, y = subset[0], subset[1]
+    a = m[x][y]
+    norms = a[0] * a[0] + a[1] * a[1]
+    if len(subset) == 2:
+        return [1, 0, -norms]
+    z = subset[2]
+    b, c = m[y][z], m[x][z]
+    norms += b[0] * b[0] + b[1] * b[1] + c[0] * c[0] + c[1] * c[1]
+    return [1, 0, -norms, -2 * pair_product(a, b, c)[0]]
 
 
 def _first_deletion_miss(a, adjugates, deletions, descending):

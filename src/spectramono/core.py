@@ -93,15 +93,9 @@ class HermitianStructure:
         for row in rows:
             if len(row) != n:
                 raise InputError(f"label matrix must be {n}x{n}")
-        mode = None
-        for row in rows:
-            for entry in row:
-                if not isinstance(entry, GaussianScalar):
-                    raise InputError(f"label {entry!r} is not a GaussianScalar")
-                if mode is None:
-                    mode = entry.mode
-                elif entry.mode != mode:
-                    raise ModeMixError("labels mix exact and approx scalars")
+        mode = _one_mode(
+            [e for row in rows for e in row], "label", "labels mix exact and approx scalars"
+        )
         _assembled(self, *_cleared(rows, mode), mode, rows)
 
     def __setattr__(self, name, value):
@@ -167,6 +161,22 @@ def common_modulus_squared_of_pairs(pairs, mode):
                     f"labels at (0,1) and ({x},{y}) have different moduli"
                 )
     return msq
+
+
+def _one_mode(entries, what, mixed):
+    """The mode of the entries, a nonempty iterable, each checked in turn
+    to be a GaussianScalar ("<what> <entry!r> is not a GaussianScalar", an
+    InputError) of the first one's mode (ModeMixError(mixed)). Structures
+    and selectors check their scalars here before anything else."""
+    mode = None
+    for entry in entries:
+        if not isinstance(entry, GaussianScalar):
+            raise InputError(f"{what} {entry!r} is not a GaussianScalar")
+        if mode is None:
+            mode = entry.mode
+        elif entry.mode != mode:
+            raise ModeMixError(mixed)
+    return mode
 
 
 def _label_matrix(g):
@@ -499,14 +509,7 @@ class Selector:
         values = _tuple_of(values, "selector values")
         if not values:
             raise InputError("a selector needs at least one value")
-        mode = None
-        for v in values:
-            if not isinstance(v, GaussianScalar):
-                raise InputError(f"selector value {v!r} is not a GaussianScalar")
-            if mode is None:
-                mode = v.mode
-            elif v.mode != mode:
-                raise ModeMixError("selector values mix modes")
+        mode = _one_mode(values, "selector value", "selector values mix modes")
         (pairs,), r = _cleared((values,), mode)
         _selector_assembled(self, pairs, r, mode, scale_sq, values)
 

@@ -4,10 +4,12 @@ A structure is k-spectrally monomorphic when all of its k-vertex
 substructures share one characteristic polynomial. The checks here
 enumerate substructures in colexicographic order, so the first mismatching
 pair of subsets is deterministic and becomes the reported witness. In
-exact mode a subset pays a recurrence only when neither its slice of the
-label matrix nor the gauge class of that slice, its norms and phase
-products, was seen before in the same enumeration: a selector twist keeps
-every characteristic polynomial, and it keeps the class too.
+exact mode a subset of at most three vertices reads its polynomial from
+its labels in closed form (charpoly._closed_form). A larger one pays a
+recurrence only when neither its slice of the label matrix nor the gauge
+class of that slice, its norms and phase products, was seen before in the
+same enumeration: a selector twist keeps every characteristic polynomial,
+and it keeps the class too.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Optional
 from .charpoly import (
     RealPolynomial,
     _adjugates,
+    _closed_form,
     _first_deletion_miss,
     _label_matrix,
     _minor,
@@ -60,10 +63,12 @@ def is_k_spectrally_monomorphic(g, k):
     k must satisfy 1 <= k <= n; larger k has no substructures to compare and
     is rejected rather than treated as vacuously true. The label matrix is
     built once and each subset's polynomial comes from its principal
-    submatrix, the same computation char_poly(substructure(g, subset)) does.
-    In exact mode subsets with equal or gauge-equivalent submatrices share
-    one recurrence, and large k goes through Jacobi's complementary minors
-    (see charpoly._first_deletion_miss).
+    submatrix, with the value char_poly(substructure(g, subset)) has. In
+    exact mode k <= 3 reads it from the subset's labels in closed form
+    (charpoly._closed_form); at k >= 4 subsets with equal or
+    gauge-equivalent submatrices share one recurrence, and large k goes
+    through Jacobi's complementary minors (see
+    charpoly._first_deletion_miss).
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("is_k_spectrally_monomorphic takes a HermitianStructure")
@@ -116,33 +121,35 @@ def _enumerate(m, d, k, adjugates):
     on the mode.
 
     Exact mode compares the integer coefficient lists with ==: with one D
-    and one k, P_A[S] = P_A[T] exactly when P_M[S] = P_M[T]. Two per-call
-    memos stand in front of the recurrence. The first maps the strict upper
-    triangle of A[S], which fixes the Hermitian zero-diagonal A[S], to its
-    list, so each distinct submatrix is reduced once, checks included. On a
-    miss there, the second maps the gauge class of A[S] (_class_key) to its
+    and one k, P_A[S] = P_A[T] exactly when P_M[S] = P_M[T]. At k <= 3
+    each subset's list is read from its labels by charpoly._closed_form,
+    with no recurrence and no memo. At k >= 4 two per-call memos stand in
+    front of the recurrence. The first maps the strict upper triangle of
+    A[S], which fixes the Hermitian zero-diagonal A[S], to its list, so
+    each distinct submatrix is reduced once, checks included. On a miss
+    there, the second maps the gauge class of A[S] (_class_key) to its
     list, so a slice that differs from an earlier one only by a diagonal
     similarity, as a selector twist makes it, is not reduced again; a slice
     with a zero in its lead row has no class key. Each memo takes at most
     1024 entries (_MEMO_BOUND) and then inserts nothing more, so neither
     grows with C(n, k).
 
-    Approx mode reduces every subset and compares the float lists with
-    _compare_polys, reporting fragile when any comparison nearly flipped.
-    It takes no memo: float keys would equate -0.0 with 0.0, whose
-    polynomials print differently.
+    Approx mode reduces every subset by the recurrence, at every k, and
+    compares the float lists with _compare_polys, reporting fragile when
+    any comparison nearly flipped. It takes no memo: float keys would
+    equate -0.0 with 0.0, whose polynomials print differently.
 
-    In exact mode with n - k <= 3 and 2k > n, the subsets after the first
-    _direct_count(n, k) are checked against the reference's coefficients by
-    _first_deletion_miss, through Jacobi's complementary minors and with
-    the recurrence as its cross-check. adjugates() gives what _adjugates
-    gives for at least k points; it is called at most once, and may be a
-    cache shared across k. The reference and witness polynomials come from
-    the recurrence on those subsets alone, and only they and common_poly
-    become RealPolynomials.
+    In exact mode with k >= 4, n - k <= 3 and 2k > n, the subsets after
+    the first _direct_count(n, k) are checked against the reference's
+    coefficients by _first_deletion_miss, through Jacobi's complementary
+    minors and with the recurrence as its cross-check. adjugates() gives
+    what _adjugates gives for at least k points; it is called at most
+    once, and may be a cache shared across k. The reference and witness
+    polynomials come from the recurrence on those subsets alone, and only
+    they and common_poly become RealPolynomials.
     """
     n = len(m)
-    jacobi = d is not None and n - k <= 3 and 2 * k > n
+    jacobi = d is not None and k >= 4 and n - k <= 3 and 2 * k > n
     memo = {}
     classes = {}
     reference = None
@@ -152,6 +159,8 @@ def _enumerate(m, d, k, adjugates):
     for checked, subset in enumerate(subsets, 1):
         if d is None:
             coefficients, _ = _recurrence(_principal_submatrix(m, subset), APPROX)
+        elif k <= 3:
+            coefficients = _closed_form(m, subset)
         else:
             key = tuple([m[a][b] for i, a in enumerate(subset) for b in subset[i + 1 :]])
             coefficients = memo.get(key)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 import genutil
 from spectramono.charpoly import (
     RealPolynomial,
+    _closed_form,
     _cross_checked,
     _det,
     _pair_dot,
+    _principal_submatrix,
     _recurrence,
     char_poly,
     determinant,
@@ -17,6 +19,7 @@ from spectramono.charpoly import (
     principal_minor_sum,
     scaled_poly,
 )
+from spectramono.combinat import colex_subsets
 from spectramono.constructions import hat, paley_tournament
 from spectramono.core import (
     HermitianStructure,
@@ -422,6 +425,38 @@ class TestKernelParity:
                     row = list(zip(adj_re[i * n : (i + 1) * n], adj_im[i * n : (i + 1) * n]))
                     for j, col in enumerate(zip(*b)):
                         assert _pair_dot(row, col) == (value if i == j else 0, 0)
+
+
+def test_closed_form_matches_recurrence():
+    """_closed_form gives every principal submatrix of order 1 to 3 the
+    coefficients the recurrence gives it, on cleared matrices A = D * M
+    of 1 to 5 vertices with D = 1, 35 or 2^70, label components of both
+    signs over divisors of D, and a quarter of them zero."""
+    r = genutil.rng(33)
+    compared = 0
+    divisors = {1: [1], 35: [1, 5, 7, 35], 2**70: [2**j for j in range(71)]}
+    for trial in range(240):
+        d = list(divisors)[trial % 3]
+        n = r.randint(1, 5)
+        rows = [[GaussianScalar.exact(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                re, im = (
+                    0 if r.random() < 0.25 else rational(r.randint(-9, 9)) / r.choice(divisors[d])
+                    for _ in range(2)
+                )
+                if (i, j) == (0, 1):
+                    re = rational(r.choice((-1, 1)) * r.choice((1, 3, 11, 13))) / d
+                rows[i][j] = GaussianScalar.exact(re, im)
+                rows[j][i] = rows[i][j].conj()
+        a, cleared = _label_matrix(HermitianStructure(rows))
+        assert cleared == (d if n > 1 else 1)
+        for k in range(1, min(n, 3) + 1):
+            for subset in colex_subsets(n, k):
+                expected, _ = _recurrence(_principal_submatrix(a, subset), EXACT)
+                assert _closed_form(a, subset) == expected
+                compared += 1
+    assert compared >= 1000
 
 
 def test_selector_scaling_law():

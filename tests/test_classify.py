@@ -491,8 +491,9 @@ class TestC3ViaDeterminants:
 class TestIntegerKernels:
     """Rational labels are cleared once into the Gaussian-integer matrix
     A = D * M, and every exact kernel runs on A: the reduction's phase
-    products and re-application, both elimination routes and the
-    recurrence receive plain ints, never rationals, when D > 1."""
+    products and re-application, both elimination routes, the recurrence
+    and the closed form at k <= 3 receive plain ints, never rationals, when
+    D > 1."""
 
     def _spy(self, monkeypatch, module, name, seen):
         original = getattr(module, name)
@@ -532,6 +533,7 @@ class TestIntegerKernels:
         self._spy(monkeypatch, classify, "_det", seen)
         self._spy(monkeypatch, charpoly, "_det", seen)
         self._spy(monkeypatch, monomorphy, "_recurrence", seen)
+        self._spy(monkeypatch, monomorphy, "_closed_form", seen)
         for g in structures:
             assert any(e.re.denominator > 1 or e.im.denominator > 1 for row in g.labels for e in row)
             classify_k3(g)
@@ -542,7 +544,7 @@ class TestIntegerKernels:
             is_k_spectrally_monomorphic(g, 4)
         assert c3_via_determinants(third_hat, 0, 1, 2) == 2
         names = {name for name, _ in seen}
-        assert names == {"pair_product", "_det", "_recurrence"}
+        assert names == {"pair_product", "_det", "_recurrence", "_closed_form"}
         # plain ints on the fractions backend; gmpy2's numerators are mpz
         integers = {int, type(rational(1).numerator)}
         for name, args in seen:

@@ -516,6 +516,28 @@ def _perturbed_value_lists(r, mode, count):
         yield values, scale_sq
 
 
+def test_constructors_name_the_first_entry_of_a_bad_type_or_mode():
+    """HermitianStructure (its labels row by row) and Selector (its values)
+    check in order that every entry is a GaussianScalar of the first's
+    mode, and name the first that is not, before any check of the values:
+    a zero selector value waits behind a later bad entry."""
+    zero, approx = GaussianScalar.zero(), GaussianScalar.approx(1.0)
+    cases = [
+        (lambda: HermitianStructure([[zero, 5], [approx, zero]]), InputError, "label 5 is not a GaussianScalar"),
+        (
+            lambda: HermitianStructure([[zero, approx], [5, zero]]),
+            ModeMixError,
+            "labels mix exact and approx scalars",
+        ),
+        (lambda: Selector([zero, "1", approx]), InputError, "selector value '1' is not a GaussianScalar"),
+        (lambda: Selector([zero, approx, "1"]), ModeMixError, "selector values mix modes"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as raised:
+            build()
+        assert type(raised.value) is error and str(raised.value) == message
+
+
 class TestSelector:
     @pytest.mark.parametrize("mode", [EXACT, APPROX])
     def test_checks_match_the_scalar_rule(self, mode):

@@ -12,6 +12,7 @@ from spectramono.constructions import hat, paley_tournament
 from spectramono.core import (
     HermitianStructure,
     Selector,
+    Tournament,
     apply_selector,
     c_representation,
     constant_structure,
@@ -203,7 +204,7 @@ def test_enumeration_matches_char_poly_of_substructures(monkeypatch):
     seen_modes = set()
     negatives_after_hits = 0
     for family in families:
-        for _ in range(12):
+        for _ in range(20):
             n = r.randrange(2, 8)
             g = family(r, n)
             seen_modes.add(g.mode)
@@ -216,28 +217,47 @@ def test_enumeration_matches_char_poly_of_substructures(monkeypatch):
                 assert report.witness == witness
                 assert report.subsets_checked == checked
                 assert report.fragile == fragile
-                if witness is not None and len(calls) < checked:
+                if witness is not None and k >= 4 and len(calls) < checked:
                     negatives_after_hits += 1
     assert seen_modes == {EXACT, APPROX}
-    # witnesses found after memo hits, not only on the first few subsets
+    # witnesses found after memo hits, not only on the first few subsets;
+    # k <= 3 runs no recurrence and takes no memo, so it does not count
     assert negatives_after_hits >= 20
 
 
+def _relabelled_transitive(r, n):
+    """A transitive tournament on n vertices whose linear order is a
+    random permutation of them."""
+    rank = list(range(n))
+    r.shuffle(rank)
+    return Tournament.from_matrix([[int(rank[u] < rank[v]) for v in range(n)] for u in range(n)])
+
+
 class TestContentMemo:
-    """Exact enumeration reduces each distinct submatrix, and each gauge
-    class of submatrices, once per call."""
+    """Exact enumeration at k >= 4 reduces each distinct submatrix, and
+    each gauge class of submatrices, once per call; at k <= 3 it reduces
+    none (charpoly._closed_form)."""
 
     def test_i_representation_runs_at_most_eight_recurrences(self, monkeypatch):
-        """3-subsets of an i-representation carry three labels +-i, so at
-        most 8 distinct submatrices occur among the 20 subsets of 6."""
+        """4-subsets of an i-representation have lead-row norms 1 and three
+        phase products W_s(u, v), each a product of three labels +-i with
+        one conjugated, so +-i: at most 2^3 = 8 gauge classes, and a
+        recurrence runs only for a new class. On a relabelled transitive
+        tournament on 8 vertices every 4-subset is transitive, so all 70
+        share one polynomial. The 20 3-subsets of the 6-vertex ones run
+        none."""
         calls = _counting_recurrence(monkeypatch)
         r = genutil.rng(71)
         for _ in range(20):
-            calls.clear()
             report = is_k_spectrally_monomorphic(
                 i_representation(genutil.random_tournament(r, 6)), 3
             )
             assert report.monomorphic and report.subsets_checked == 20
+            assert calls == []
+        for _ in range(20):
+            calls.clear()
+            report = is_k_spectrally_monomorphic(i_representation(_relabelled_transitive(r, 8)), 4)
+            assert report.monomorphic and report.subsets_checked == 70
             assert 1 <= len(calls) <= 8
 
     def test_approx_mode_runs_one_recurrence_per_subset(self, monkeypatch):
@@ -248,41 +268,48 @@ class TestContentMemo:
         assert calls == [3] * 20
 
     def test_memo_stops_inserting_at_its_bound(self, monkeypatch):
-        """Pair subsets in colex order, whose gauge class is the norm of
-        their label: the first bound + 1 carry distinct entries (0, 1, ...,
-        bound), the next carries i * bound, then bound + 1 comes twice, and
-        all later ones repeat the first. The entry memo holds 0..bound - 1
-        and the class memo, which 0 cannot enter, the norms of 1..bound.
-        So i * bound is a class hit, the repeat of bound + 1, seen after
-        both memos filled, is reduced again, and the repeats of the first
-        entry never are."""
+        """4-subsets (a, b, c, d) in colex order of a matrix whose entry
+        (u, v), u < v, is x_v = v, except x_1 = 0. A subset's slice is
+        fixed by its top three vertices T = (b, c, d), and so is its gauge
+        class (lead-row norms x_b^2, x_c^2, x_d^2 and phase products
+        x_u x_v^2), except that the T with b = 1 have a zero in the lead
+        row and no class key. The T come in colex order, each in b
+        consecutive copies a = 0, ..., b - 1, and the first copy of each T
+        is reduced. The entry memo holds the first bound T, so their later
+        copies are hits. The class memo takes only T with b > 1, so it
+        fills later: copies of the T that came after the entry memo filled
+        and before the class memo did are class hits, and every copy of a
+        later T is reduced again."""
         bound = monomorphy._MEMO_BOUND
         calls = []
 
         def constant_recurrence(a, mode, points=()):
-            calls.append(a[0][1])
-            return [1, 0, -1], []
+            calls.append((a[0][1][0], a[0][2][0], a[0][3][0]))
+            return [1, 0, -6, -8, -3], []
 
         monkeypatch.setattr(monomorphy, "_recurrence", constant_recurrence)
-        n = 2
-        while n * (n - 1) // 2 < bound + 40:
+        n = 4
+        while (n - 1) * (n - 2) * (n - 3) // 6 < bound + 200:
             n += 1
-        m = [[(0, 0)] * n for _ in range(n)]
-        tail = [(0, bound), (bound + 1, 0), (bound + 1, 0)]
-        for index, (a, b) in enumerate(colex_subsets(n, 2)):
-            if index <= bound:
-                value = (index, 0)
-            elif index - bound - 1 < len(tail):
-                value = tail[index - bound - 1]
-            else:
-                value = (0, 0)
-            m[a][b] = value
-            m[b][a] = (value[0], -value[1])
-        report = monomorphy._enumerate(m, 1, 2, None)
+        x = [0, 0] + list(range(2, n))
+        m = [[(x[v], 0) if u < v else (0, 0) for v in range(n)] for u in range(n)]
+        expected = []
+        classes = class_hits = reduced_again = 0
+        for rank, (b, c, d) in enumerate(colex_subsets(n - 1, 3)):
+            b, c, d = b + 1, c + 1, d + 1
+            expected.append((x[b], x[c], x[d]))
+            if rank >= bound and classes < bound:
+                class_hits += b - 1
+            elif rank >= bound:
+                expected += [expected[-1]] * (b - 1)
+                reduced_again += b - 1
+            classes += b > 1
+        assert class_hits and reduced_again
+        report = monomorphy._enumerate(m, 1, 4, None)
         assert report.monomorphic
-        assert report.subsets_checked == n * (n - 1) // 2
-        assert report.common_poly == RealPolynomial([-1, 0, 1], EXACT)
-        assert calls == [(v, 0) for v in range(bound + 1)] + [(bound + 1, 0)] * 2
+        assert report.subsets_checked == n * (n - 1) * (n - 2) * (n - 3) // 24
+        assert report.common_poly == RealPolynomial([-3, -8, -6, 0, 1], EXACT)
+        assert calls == expected
 
 
 def _twisted_families(r):
@@ -290,7 +317,8 @@ def _twisted_families(r):
     5 values, scale 1, 4, 9, 1/4 or 9/4): c-representations with label
     3/5+4/5i, i-representations and constants, of random and transitive
     tournaments, each also with one pair set to 0 and with one pair
-    changed; and random Hermitian structures, which are not 2-monomorphic."""
+    changed; and random Hermitian structures, which are not 2-monomorphic;
+    on 4 to 10 vertices."""
 
     def twisted(g):
         return apply_selector(g, genutil.random_selector(r, g.n))
@@ -303,7 +331,7 @@ def _twisted_families(r):
         rows[u][v] = rows[v][u] = GaussianScalar.exact(0)
         return HermitianStructure(rows)
 
-    for n in range(4, 9):
+    for n in range(4, 11):
         value = GaussianScalar.exact(genutil.random_rational(r) or 1)
         bases = [
             c_representation(transitive_tournament(n), UNIT_C),
@@ -345,14 +373,16 @@ def _real_structure(n, labels):
 
 
 class TestGaugeClassMemo:
-    """On a miss of the entry memo, exact enumeration keys a subset by the
-    norms and phase products of its lead row (_class_key), so twisted and
-    relabelled copies of a slice share one recurrence."""
+    """On a miss of the entry memo, exact enumeration at k >= 4 keys a
+    subset by the norms and phase products of its lead row (_class_key),
+    so twisted and relabelled copies of a slice share one recurrence."""
 
     def test_reports_match_char_poly_of_substructures(self, monkeypatch):
         """Full reports of is_k_spectrally_monomorphic and
         monomorphy_profile for every k equal the colex loop of char_poly
-        on every substructure."""
+        on every substructure, and at k <= 3 no recurrence runs. Class
+        keys are formed at k >= 4 only, so the families reach 10 vertices
+        to give the class memo enough hits, negatives among them."""
         keys = []
         class_key = monomorphy._class_key
 
@@ -361,13 +391,16 @@ class TestGaugeClassMemo:
             return keys[-1]
 
         monkeypatch.setattr(monomorphy, "_class_key", recording)
+        calls = _counting_recurrence(monkeypatch)
         class_hits = negatives_after_class_hits = 0
         for g in _twisted_families(genutil.rng(111)):
             profile = monomorphy_profile(g)
             for k in range(1, g.n + 1):
                 keys.clear()
+                calls.clear()
                 expected = _expected_report(g, k)
                 assert is_k_spectrally_monomorphic(g, k) == expected
+                assert k >= 4 or calls == []
                 assert profile[k] == expected
                 keyed = [key for key in keys if key is not None]
                 hits = len(keyed) - len(set(keyed))
@@ -380,8 +413,12 @@ class TestGaugeClassMemo:
     def test_norms_separate_equal_phase_products(self):
         """Slices (0, 1, 2), labels 1, 1, 4, and (0, 1, 3), labels 1, 2, 2,
         share the phase product W_0 = 4 but not their norms, and their
-        polynomials x^3 - 18x - 8 and x^3 - 9x - 8 differ: a key without
-        the norms would report the witness only at (1, 2, 3)."""
+        polynomials x^3 - 18x - 8 and x^3 - 9x - 8 differ. The enumeration
+        at k = 4 forms such keys: on 5 vertices the slices (0, 1, 2, 3) and
+        (0, 1, 2, 4) share their phase products 1, 2 and 2, their norms
+        1, 1, 1 and 1, 1, 4 do not, and neither do their coefficients of
+        x^2, -12 and -9, so a key without the norms would miss the
+        witness at (0, 1, 2, 4)."""
         labels = {(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 4, (1, 3): 2, (2, 3): 2}
         g = _real_structure(4, labels)
         m, _ = g._matrix
@@ -393,11 +430,28 @@ class TestGaugeClassMemo:
         assert report == _expected_report(g, 3)
         assert report.witness == ((0, 1, 2), (0, 1, 3))
         assert [p.coefficients for p in report.witness_polys] == [(-8, -18, 0, 1), (-8, -9, 0, 1)]
+        labels = {
+            (0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 2, (1, 2): 1,
+            (1, 3): 2, (1, 4): 1, (2, 3): 2, (2, 4): 1, (3, 4): 1,
+        }
+        g = _real_structure(5, labels)
+        m, _ = g._matrix
+        first = monomorphy._class_key(m, (0, 1, 2, 3))
+        second = monomorphy._class_key(m, (0, 1, 2, 4))
+        assert first[3:] == second[3:] == ((1, 0), (2, 0), (2, 0))
+        assert first[:3] == (1, 1, 1) and second[:3] == (1, 1, 4)
+        report = is_k_spectrally_monomorphic(g, 4)
+        assert report == _expected_report(g, 4)
+        assert report.witness == ((0, 1, 2, 3), (0, 1, 2, 4))
+        assert [p.coefficients[2] for p in report.witness_polys] == [-12, -9]
 
     def test_zero_in_lead_row_has_no_class_key(self):
         """With a(0, 1) = 0, slices (0, 1, 2) and (0, 1, 3) have the same
         norms from 0 and phase products 0, yet x^3 - 2x and x^3 - 5x differ:
-        a(1, 2) and a(1, 3) enter no such key, so none is formed."""
+        a(1, 2) and a(1, 3) enter no such key, so none is formed. At k = 4
+        on 5 vertices the slices (0, 1, 2, 3) and (0, 1, 2, 4) would share
+        norms 0, 1, 1 and phase products 0, 0, 1, yet their coefficients of
+        x^2, -5 and -8, differ."""
         labels = {(0, 1): 0, (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): 2, (2, 3): 1}
         g = _real_structure(4, labels)
         m, _ = g._matrix
@@ -406,18 +460,45 @@ class TestGaugeClassMemo:
         report = is_k_spectrally_monomorphic(g, 3)
         assert report == _expected_report(g, 3)
         assert report.witness == ((0, 1, 2), (0, 1, 3))
+        labels = {
+            (0, 1): 0, (0, 2): 1, (0, 3): 1, (0, 4): 1, (1, 2): 1,
+            (1, 3): 1, (1, 4): 2, (2, 3): 1, (2, 4): 1, (3, 4): 1,
+        }
+        g = _real_structure(5, labels)
+        m, _ = g._matrix
+        assert monomorphy._class_key(m, (0, 1, 2, 3)) is None
+        report = is_k_spectrally_monomorphic(g, 4)
+        assert report == _expected_report(g, 4)
+        assert report.witness == ((0, 1, 2, 3), (0, 1, 2, 4))
+        assert [p.coefficients[2] for p in report.witness_polys] == [-5, -8]
 
     def test_twisted_i_representation_runs_at_most_two_recurrences(self, monkeypatch):
-        """Every phase product of a 3-subset of an i-representation is i or
-        -i times one modulus, twisted or not: two gauge classes."""
+        """A selector twist multiplies every lead-row norm of a slice by
+        one positive factor and every phase product by another, so twisted
+        slices keep their gauge classes. In the i-representation of the transitive
+        tournament every phase product of a 4-subset is i; reversing the
+        arc between 0 and 1 (still a transitive tournament, so all 70
+        4-subsets of 8 vertices share one polynomial) negates the two
+        phase products W_0(1, v) of the subsets holding 0 and 1, and only
+        them: two gauge classes. The 35 3-subsets of twisted
+        i-representations of random tournaments on 7 vertices run no
+        recurrence."""
         calls = _counting_recurrence(monkeypatch)
         r = genutil.rng(112)
         for _ in range(20):
-            calls.clear()
             g = i_representation(genutil.random_tournament(r, 7))
             g = apply_selector(g, genutil.random_selector(r, 7))
             report = is_k_spectrally_monomorphic(g, 3)
             assert report.monomorphic and report.subsets_checked == 35
+            assert calls == []
+        swapped = transitive_tournament(8).matrix()
+        swapped[0][1], swapped[1][0] = 0, 1
+        base = i_representation(Tournament.from_matrix(swapped))
+        for _ in range(20):
+            calls.clear()
+            g = apply_selector(base, genutil.random_selector(r, 8))
+            report = is_k_spectrally_monomorphic(g, 4)
+            assert report.monomorphic and report.subsets_checked == 70
             assert 1 <= len(calls) <= 2
 
 
