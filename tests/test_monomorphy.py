@@ -279,7 +279,12 @@ class TestContentMemo:
         copies are hits. The class memo takes only T with b > 1, so it
         fills later: copies of the T that came after the entry memo filled
         and before the class memo did are class hits, and every copy of a
-        later T is reduced again."""
+        later T is reduced again. Three last vertices t have x_t = 3, so
+        after both memos filled each (0, 1, 2, t) repeats the first slice,
+        (0, 1, 2, 3), which has no class key: the full entry memo still
+        answers them. Every other T holding a t is new, with its class
+        (x_b, x_c, x_d all positive) seen only after the class memo filled,
+        and is reduced once per copy."""
         bound = monomorphy._MEMO_BOUND
         calls = []
 
@@ -291,20 +296,28 @@ class TestContentMemo:
         n = 4
         while (n - 1) * (n - 2) * (n - 3) // 6 < bound + 200:
             n += 1
-        x = [0, 0] + list(range(2, n))
+        x = [0, 0] + list(range(2, n)) + [3] * 3
+        n += 3
         m = [[(x[v], 0) if u < v else (0, 0) for v in range(n)] for u in range(n)]
         expected = []
-        classes = class_hits = reduced_again = 0
+        entries = set()
+        classes = class_hits = reduced_again = entry_hits = 0
         for rank, (b, c, d) in enumerate(colex_subsets(n - 1, 3)):
             b, c, d = b + 1, c + 1, d + 1
-            expected.append((x[b], x[c], x[d]))
+            slice_ = (x[b], x[c], x[d])
+            if rank < bound:
+                entries.add(slice_)
+            elif slice_ in entries:
+                entry_hits += b
+                continue
+            expected.append(slice_)
             if rank >= bound and classes < bound:
                 class_hits += b - 1
             elif rank >= bound:
                 expected += [expected[-1]] * (b - 1)
                 reduced_again += b - 1
             classes += b > 1
-        assert class_hits and reduced_again
+        assert class_hits and reduced_again and entry_hits == 3
         report = monomorphy._enumerate(m, 1, 4, None)
         assert report.monomorphic
         assert report.subsets_checked == n * (n - 1) * (n - 2) * (n - 3) // 24
