@@ -492,27 +492,30 @@ def _minor(a, subset, mode):
 def determinant(g):
     """Determinant of the label matrix, a real scalar for Hermitian input.
 
-    Computed by elimination and then cross-checked against the independent
-    Faddeev-LeVerrier route through P(0) = (-1)^n det M, both on the matrix
-    A of _label_matrix; det M = det A / D^n.
+    Computed by elimination and cross-checked against the independent
+    Faddeev-LeVerrier route through P(0) = (-1)^n det M by _cross_checked,
+    both on the matrix A of _label_matrix; det M = det A / D^n.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("determinant takes a HermitianStructure")
     a, d = _label_matrix(g)
-    re, im = _minor(a, range(g.n), g.mode)
-    p0 = _recurrence(a, g.mode)[0][-1]
-    det = _cross_checked(re, im, p0, g.n, g.mode)
+    det = _cross_checked(a, range(g.n), g.mode)
     return GaussianScalar(_descaled(det, d, g.n), 0, g.mode)
 
 
-def _cross_checked(re, im, p0, n, mode):
-    """The elimination determinant re + i im of an order-n Hermitian
-    matrix, once it is real and equals (-1)^n P(0) from the recurrence.
-    A failure is a broken invariant in exact mode. In approx mode it is
-    rounding that the tolerance cannot absorb, such as a near-zero
-    determinant whose imaginary rounding outweighs its cancelled real
-    part, so it is an InputError."""
-    expected = p0 if n % 2 == 0 else -p0
+def _cross_checked(a, subset, mode):
+    """The elimination determinant (_minor) of the principal submatrix on
+    `subset` of a matrix (A, D) in _label_matrix form, once it is real and
+    equals (-1)^n P(0) from the recurrence on the same submatrix, n the
+    size of subset: the one check of elimination against the recurrence,
+    for determinant and c3_via_determinants. A failure is a broken
+    invariant in exact mode. In approx mode it is rounding that the
+    tolerance cannot absorb, such as a near-zero determinant whose
+    imaginary rounding outweighs its cancelled real part, so it is an
+    InputError."""
+    re, im = _minor(a, subset, mode)
+    p0 = _recurrence(_principal_submatrix(a, subset), mode)[0][-1]
+    expected = p0 if len(subset) % 2 == 0 else -p0
     if not negligible(im, re, mode):
         problem = "determinant of a Hermitian matrix must be real"
     elif not close(re, expected, mode):

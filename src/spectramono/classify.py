@@ -2,7 +2,9 @@
 
 Every positive verdict is constructive: the classifier returns a canonical
 structure together with a selector that maps it back onto the input, and
-that selector is re-applied and checked before the verdict is returned.
+that selector is re-applied to the canonical structure and checked against
+the input before the verdict is returned, by core._check_action, the one
+re-application check that normalize_at and are_equivalent use too.
 Negative verdicts carry an enumeration witness, a concrete pair of subsets
 whose characteristic polynomials differ, found by the brute-force check.
 The two routes are independent, so a verdict is never just the theorem's
@@ -25,6 +27,7 @@ from .core import (
     HermitianStructure,
     Selector,
     Tournament,
+    _check_action,
     _descaled,
     _finite,
     _from_pairs,
@@ -35,13 +38,7 @@ from .core import (
     pair_product,
     substructure,  # noqa: F401 - not called here; bench/tracing.py rebinds it
 )
-from .charpoly import (
-    _cross_checked,
-    _det,
-    _label_matrix,
-    _principal_submatrix,
-    _recurrence,
-)
+from .charpoly import _cross_checked, _label_matrix
 from .constructions import DrtCertificate, is_doubly_regular
 from .errors import (
     InputError,
@@ -62,8 +59,12 @@ class CanonicalReduction:
     nonnegative imaginary part. tournament orients each pair by whether its
     rescaled phase product equals gamma (vertex 0 dominates everything by
     construction). canonical carries gamma on the arcs of that tournament,
-    and selector is a unit selector with apply_selector(canonical, selector)
-    == the original input, verified before this object is built.
+    and selector is a unit selector that maps canonical onto the original
+    input, verified before this object is built: the pairs of
+    apply_selector(canonical, selector) equal those of the input's
+    _label_matrix at every ordered pair, literally in exact mode and by the
+    rule of _pairs_match, relative to the largest component, in approx
+    mode (core._check_action).
     """
 
     modulus_squared: object
@@ -91,32 +92,6 @@ def _lifted_selector(m, gamma, lift, s):
     return d
 
 
-def _check_reapplied(m, d, rows, gamma, gamma_bar, mode, target_scale):
-    """Re-apply the selector: raise unless
-    d(x) * c(x, y) * conj(d(y)) == target_scale * g(x, y) at every ordered
-    pair x != y, where c(x, y) is gamma on the arcs in rows and gamma_bar
-    against them, by the rule of _pairs_match.
-
-    A failure is a broken invariant in exact mode and _too_close input in
-    approx mode."""
-    n = len(m)
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            c = gamma if rows[x] >> y & 1 else gamma_bar
-            re, im = m[x][y]
-            want = (re * target_scale, im * target_scale)
-            got = pair_product(d[x], c, d[y])
-            if got == want or _pairs_match(got, want, mode):
-                continue
-            raise _failed(
-                mode,
-                f"canonical reduction selector failed to reproduce input at ({x},{y})",
-                _too_close(f"the reduced form misses the input at ({x},{y})"),
-            )
-
-
 def reduce_to_canonical_labels(g):
     """Rescale g so every label is gamma or conj(gamma), gamma per pair
     chosen by a unit selector. Needs n >= 5 so that the two-value phase
@@ -128,13 +103,14 @@ def reduce_to_canonical_labels(g):
     The work runs on the (re, im) pairs of _label_matrix. Exact mode takes
     the Gaussian-integer matrix A = D * M, whose common modulus squared msq
     is D^2 times that of g, and never divides: the phase products of A are
-    D * msq times the rescaled phases, gamma among them; the selector d is
-    re-applied as msq^2 * d to the labels D * msq * gamma and checked
-    against msq^5 * A. Approx mode works on the float components and
-    divides by msq up front. Scalars and structures are built only for the
-    returned CanonicalReduction, from those pairs: the canonical structure
-    by _from_pairs over D * msq, and the selector by _selector_from_pairs,
-    in exact mode from msq^2 * d over msq^2.
+    D * msq times the rescaled phases, gamma among them. Approx mode works
+    on the float components and divides by msq up front. Scalars and
+    structures are built only for the returned CanonicalReduction, from
+    those pairs: the canonical structure by _from_pairs over D * msq, and
+    the selector by _selector_from_pairs, in exact mode from msq^2 * d over
+    msq^2. Between the two, the selector's pairs are re-applied to the
+    canonical structure and checked against g by core._check_action,
+    before the selector's own checks run.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("reduce_to_canonical_labels takes a HermitianStructure")
@@ -189,9 +165,6 @@ def reduce_to_canonical_labels(g):
         else:
             rows[v] |= 1 << u
 
-    d = _lifted_selector(m, gamma, lift, s)
-    _check_reapplied(m, d, rows, gamma, gamma_bar, mode, lift**5)
-
     # gamma on the arcs of rows, gamma_bar against them, over shown; a real
     # gamma equals gamma_bar, so the structure is constant
     zero = (0, 0) if mode == EXACT else (0.0, 0.0)
@@ -203,6 +176,9 @@ def reduce_to_canonical_labels(g):
         shown,
         mode,
     )
+    d = _lifted_selector(m, gamma, lift, s)
+    failed = "canonical reduction selector failed to reproduce input at ({x},{y})"
+    _check_action(canonical, (d, q), 1, g, failed, "the reduced form misses the input at ({x},{y})")
     selector = _selector_from_pairs(d, q, mode)
     return CanonicalReduction(
         modulus_squared=_descaled(msq, den, 2),
@@ -495,10 +471,7 @@ def c3_via_determinants(g, x1, x, y):
     for z in range(n):
         if z in names:
             continue
-        sub = _principal_submatrix(a, (x1, x, y, z))
-        re, im = _det(sub, 4, EXACT)
-        p0 = _recurrence(sub, EXACT)[0][-1]
-        det = _cross_checked(re, im, p0, 4, EXACT)
+        det = _cross_checked(a, (x1, x, y, z), EXACT)
         if det not in (unit, 9 * unit):
             shown = GaussianScalar(_descaled(det, d, 4), 0, EXACT).to_text()
             raise InvariantError(f"4-subset determinant {shown} is not m^4 or 9 m^4")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .errors import (
@@ -27,6 +28,7 @@ from .scalars import (
     EXACT,
     GaussianScalar,
     _failed,
+    _pairs_match,
     _too_close,
     negligible,
     ratio,
@@ -577,7 +579,8 @@ def _selector_assembled(self, pairs, r, mode, scale_sq, values):
     constructors end here. A value must be nonzero by the rule of
     GaussianScalar.is_zero, scale_sq positive, and the norms re^2 + im^2
     equal, within negligible next to the first; exact mode tests the int
-    norms literally. A failed check is an InvariantError."""
+    norms literally. A failed check is an InvariantError; an approx
+    scale_sq that is not finite is an InputError, tested before its sign."""
     norms = [re * re + im * im for re, im in pairs]
     if mode == EXACT:
         zero = 0 in norms
@@ -586,6 +589,8 @@ def _selector_assembled(self, pairs, r, mode, scale_sq, values):
     if zero:
         raise InvariantError("selector values must be nonzero")
     scale_sq = real(scale_sq, mode)
+    if mode != EXACT and not math.isfinite(scale_sq):
+        raise InputError(f"approx scale_sq must be finite, got {scale_sq!r}")
     if not scale_sq > 0:
         raise InvariantError("scale_sq must be positive")
     msq = norms[0]
@@ -638,43 +643,78 @@ def substructure(g, vertices):
 
 
 def apply_selector(g, d):
-    """g^d with labels scale_sq * d(x) * g(x, y) * conj(d(y)).
-
-    It reads the pairs both values keep: the labels as Gaussian integers A
-    over D (_label_matrix) and the selector values as Gaussian integers S
-    over R in exact mode, where each entry is the integer product
-    S(x) A(x, y) conj(S(y)) times the numerator of scale_sq, over R^2 D
-    times its denominator. Approx mode runs the same loop on the float
-    components and multiplies by scale_sq; its operations are those of
-    GaussianScalar arithmetic, in the same order, so the floats agree bit
-    for bit. The diagonal is an explicit zero pair. The result is built by
-    _from_pairs and checked like any structure, which is the check on this
-    arithmetic.
-    """
+    """g^d with labels scale_sq * d(x) * g(x, y) * conj(d(y)), built by
+    _from_pairs from the pair matrix of _acted and checked like any
+    structure."""
     if not isinstance(g, HermitianStructure) or not isinstance(d, Selector):
         raise InputError("apply_selector takes a HermitianStructure and a Selector")
     if d.mode != g.mode:
         raise ModeMixError("structure and selector modes differ")
     if d.n != g.n:
         raise InputError(f"selector covers {d.n} vertices, structure has {g.n}")
+    return _from_pairs(*_acted(g, d._pairs, d.scale_sq), g.mode)
+
+
+def _acted(g, pairs, scale_sq):
+    """(rows, den), the pair matrix of g^d over its denominator, for the
+    selector d with values pairs = (S, R) as Selector keeps them and
+    scale_sq.
+
+    It reads the labels as Gaussian integers A over D (_label_matrix) and
+    the values as Gaussian integers S over R in exact mode, where each
+    entry is the integer product S(x) A(x, y) conj(S(y)) times the
+    numerator of scale_sq, over R^2 D times its denominator. Approx mode
+    runs the same loop on the float components and multiplies by scale_sq;
+    its operations are those of GaussianScalar arithmetic, in the same
+    order, so the floats agree bit for bit, and a product that overflows
+    floats is an InputError. The diagonal is an explicit zero pair.
+    """
     mode = g.mode
     labels, den = _label_matrix(g)
-    values, r = d._pairs
-    num, zero = d.scale_sq, (0.0, 0.0)
+    values, r = pairs
+    num, zero = scale_sq, (0.0, 0.0)
     if mode == EXACT:
         num, den, zero = num.numerator, den * r * r * num.denominator, (0, 0)
     rows = []
     for x, row in enumerate(labels):
-        dx = values[x]
-        out = []
-        for y, label in enumerate(row):
-            if x == y:
-                out.append(zero)
-                continue
-            re, im = pair_product(dx, label, values[y])
-            out.append((re * num, im * num))
-        rows.append(tuple(out))
-    return _from_pairs(tuple(rows), den, mode)
+        acted = list(map(pair_product, repeat(values[x]), row, values))
+        if num != 1:  # a factor of 1 leaves ints and floats as they are
+            acted = [(re * num, im * num) for re, im in acted]
+        acted[x] = zero
+        rows.append(tuple(acted))
+    if mode != EXACT:
+        for row in rows:
+            for pair in row:
+                _finite(pair, mode, "selector products")
+    return tuple(rows), den
+
+
+def _check_action(g, pairs, scale_sq, target, failed, misses):
+    """Raise unless the selector with values pairs = (S, R) and scale_sq,
+    as Selector keeps them, maps g onto target: re-applying a selector the
+    library built is the check on the arithmetic that built it. The
+    selector need not be built yet. It runs the arithmetic of
+    apply_selector (_acted) and compares the result, row by row, with the
+    pairs of target's _label_matrix at every ordered pair x != y: in exact
+    mode the int pairs over their two denominators, cross-multiplied, and
+    literally when the denominators are equal; in approx mode the float
+    pairs by the rule of _pairs_match. A miss is a broken invariant in
+    exact mode and _too_close input in approx mode; failed and misses word
+    the two messages and may name the first pair that misses as {x}, {y}.
+    """
+    mode = g.mode
+    rows, den = _acted(g, pairs, scale_sq)
+    b, e = _label_matrix(target)
+    if den == e and rows == b:
+        return
+    for x, (row, wanted) in enumerate(zip(rows, b)):
+        for y, (got, want) in enumerate(zip(row, wanted)):
+            if den == e:  # so always in approx mode, where both are None
+                matched = got == want or _pairs_match(got, want, mode)
+            else:
+                matched = got[0] * e == want[0] * den and got[1] * e == want[1] * den
+            if x != y and not matched:
+                raise _failed(mode, failed.format(x=x, y=y), _too_close(misses.format(x=x, y=y)))
 
 
 def c_representation(t, c):
@@ -742,8 +782,8 @@ def normalize_at(g, w):
     A(w, .), which is D * m times its values. In exact mode D * m is an
     int, the root of the common modulus squared of A, and both are exact
     over a power of it; approx mode scales the floats by 1/m and 1/m^3.
-    The selector is then re-applied to g and checked to give the normal
-    form.
+    The selector is then re-applied to g by _check_action, the check the
+    canonical reduction and are_equivalent share, against the normal form.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("normalize_at takes a HermitianStructure")
@@ -783,21 +823,10 @@ def normalize_at(g, w):
     normalized = _from_pairs(tuple(rows), q3, mode)
     values = [(lift, zero) if x == w else (re * s, im * s) for x, (re, im) in enumerate(row)]
     selector = _selector_from_pairs(values, q, mode, scale_sq)
-    _check_action(g, selector, normalized, "normalizing selector", "normal form")
+    failed = "normalizing selector failed to reproduce the normal form"
+    misses = "the normalizing selector misses the normal form"
+    _check_action(g, selector._pairs, selector.scale_sq, normalized, failed, misses)
     return normalized, selector
-
-
-def _check_action(g, selector, target, name, what):
-    """Raise unless apply_selector(g, selector) == target: re-applying a
-    selector the library built is the check on the arithmetic that built
-    it. A failure is a broken invariant in exact mode and _too_close input
-    in approx mode; name and what word both messages."""
-    if not apply_selector(g, selector) == target:
-        raise _failed(
-            g.mode,
-            f"{name} failed to reproduce the {what}",
-            _too_close(f"the {name} misses the {what}"),
-        )
 
 
 @dataclass(frozen=True)
@@ -827,7 +856,9 @@ def are_equivalent(g, h):
     without a common nonzero label modulus are reported inequivalent with a
     reason (they cannot be normalized). Otherwise g ~ h exactly when their
     normalized forms at vertex 0 agree, which is compared through the phase
-    products g(0,u) g(u,v) conj(g(0,v)) so no square roots are needed.
+    products g(0,u) g(u,v) conj(g(0,v)) so no square roots are needed. A
+    witness is re-applied to g by _check_action against h before it is
+    returned.
     """
     if not isinstance(g, HermitianStructure) or not isinstance(h, HermitianStructure):
         raise InputError("are_equivalent takes two HermitianStructures")
@@ -903,5 +934,7 @@ def are_equivalent(g, h):
         )
     (pairs,), q = _cleared((values,), mode)
     witness = _selector_from_pairs(pairs, q, mode, values=values)
-    _check_action(g, witness, h, "equivalence witness", "target")
+    failed = "equivalence witness failed to reproduce the target"
+    misses = "the equivalence witness misses the target"
+    _check_action(g, witness._pairs, witness.scale_sq, h, failed, misses)
     return EquivalenceReport(True, witness=witness)

@@ -5,6 +5,7 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 
 import genutil
+from spectramono import charpoly
 from spectramono.charpoly import (
     RealPolynomial,
     _closed_form,
@@ -281,14 +282,25 @@ class TestDeterminant:
         with pytest.raises(InvariantError, match="not exact"):
             _det([[half, one, one], [one, zero, one], [one, one, third]], 3, EXACT)
 
-    def test_cross_check_failure_is_input_in_approx_mode_only(self):
+    def test_cross_check_failure_is_input_in_approx_mode_only(self, monkeypatch):
+        """_cross_checked runs elimination and the recurrence on one
+        principal submatrix; each is replaced here by a fixed answer."""
         for mode, error in ((EXACT, InvariantError), (APPROX, InputError)):
             one = 1 if mode == EXACT else 1.0
+            a = [[(0 * one, 0 * one)] * 3 for _ in range(3)]
+
+            def routes(det, p0):
+                monkeypatch.setattr(charpoly, "_det", lambda sub, n, mode: det)
+                monkeypatch.setattr(charpoly, "_recurrence", lambda sub, mode: ([one, p0], []))
+
+            routes((one, one), one)
             with pytest.raises(error, match="must be real"):
-                _cross_checked(one, one, one, 2, mode)
+                _cross_checked(a, (0, 1), mode)
+            routes((one, 0 * one), 2 * one)
             with pytest.raises(error, match="routes disagree"):
-                _cross_checked(one, 0 * one, 2 * one, 2, mode)
-            assert _cross_checked(one, 0 * one, -one, 3, mode) == one
+                _cross_checked(a, (0, 1), mode)
+            routes((one, 0 * one), -one)
+            assert _cross_checked(a, (0, 1, 2), mode) == one
 
 
 class TestPrincipalMinorSum:

@@ -1,6 +1,7 @@
 """Tests for canonical reduction, the per-range classifiers, c3 counting."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, seed, settings
@@ -34,7 +35,7 @@ from spectramono.core import (
     substructure,
     transitive_tournament,
 )
-from spectramono import classify
+from spectramono import charpoly, classify, core
 from spectramono.errors import (
     InputError,
     InvariantError,
@@ -175,9 +176,32 @@ class TestCanonicalReduction:
             return d[:3] + [slip(*d[3])] + d[4:]
 
         monkeypatch.setattr(classify, "_lifted_selector", slipped)
-        monkeypatch.setattr(classify, "_check_reapplied", lambda *args: None)
+        monkeypatch.setattr(classify, "_check_action", lambda *args: None)
         for g in (i_representation(t), c_representation(transitive_tournament(6), UNIT_C)):
             with pytest.raises(InvariantError, match=message):
+                reduce_to_canonical_labels(g)
+
+    def test_selector_check_reads_every_ordered_pair(self, monkeypatch):
+        """The re-application compares the action with the input at every
+        ordered pair, not only above the diagonal: a slip in the products
+        below it alone is caught, and named at the first pair it hits. The
+        canonical form of a transitive c-representation carries gamma
+        (positive imaginary part) above the diagonal and conj(gamma) below,
+        so the slip corrupts each product whose label is conj(gamma)."""
+        original = core.pair_product
+
+        def slip_below(a, b, c):
+            pr, pi = original(a, b, c)
+            return (-pr, -pi) if b[1] < 0 else (pr, pi)
+
+        monkeypatch.setattr(core, "pair_product", slip_below)
+        exact = c_representation(transitive_tournament(6), UNIT_C)
+        failed = "canonical reduction selector failed to reproduce input at (1,0)"
+        for g, error, message in (
+            (exact, InvariantError, failed),
+            (genutil.approx_copy(exact), InputError, "the reduced form misses the input at (1,0)"),
+        ):
+            with pytest.raises(error, match=re.escape(message)):
                 reduce_to_canonical_labels(g)
 
     def test_phase_outside_pair_on_both_component_paths(self, monkeypatch):
@@ -456,18 +480,18 @@ class TestC3ViaDeterminants:
         """Elimination and the recurrence's P(0) must agree, and the
         elimination determinant must be real, on each 4-subset."""
         g = i_representation(hat(paley_tournament(7)))
-        recurrence, det = classify._recurrence, classify._det
+        recurrence, det = charpoly._recurrence, charpoly._det
 
         def shifted_constant_term(a, mode, points=()):
             descending, adjugates = recurrence(a, mode, points)
             return descending[:-1] + [descending[-1] + 1], adjugates
 
-        monkeypatch.setattr(classify, "_recurrence", shifted_constant_term)
+        monkeypatch.setattr(charpoly, "_recurrence", shifted_constant_term)
         with pytest.raises(InvariantError, match="routes disagree"):
             c3_via_determinants(g, 0, 1, 2)
-        monkeypatch.setattr(classify, "_recurrence", recurrence)
+        monkeypatch.setattr(charpoly, "_recurrence", recurrence)
         monkeypatch.setattr(
-            classify, "_det", lambda a, n, mode: (det(a, n, mode)[0], rational(1))
+            charpoly, "_det", lambda a, n, mode: (det(a, n, mode)[0], rational(1))
         )
         with pytest.raises(InvariantError, match="must be real"):
             c3_via_determinants(g, 0, 1, 2)
@@ -512,7 +536,7 @@ class TestIntegerKernels:
             yield value
 
     def test_exact_kernels_receive_ints(self, monkeypatch):
-        from spectramono import charpoly, monomorphy
+        from spectramono import monomorphy
         from spectramono.charpoly import determinant, principal_minor_sum
         from spectramono.monomorphy import det_constancy
 
@@ -530,7 +554,7 @@ class TestIntegerKernels:
         )
         seen = []
         self._spy(monkeypatch, classify, "pair_product", seen)
-        self._spy(monkeypatch, classify, "_det", seen)
+        self._spy(monkeypatch, core, "pair_product", seen)
         self._spy(monkeypatch, charpoly, "_det", seen)
         self._spy(monkeypatch, monomorphy, "_recurrence", seen)
         self._spy(monkeypatch, monomorphy, "_closed_form", seen)

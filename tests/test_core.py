@@ -399,6 +399,25 @@ class TestTournament:
             (lambda: RealPolynomial(["x"], APPROX), "cannot interpret 'x' as an approx"),
             (lambda: RealPolynomial([1.0], APPROX).evaluate("x"), "cannot interpret 'x'"),
             (lambda: Selector([GaussianScalar.approx(1.0)], None), "cannot interpret None"),
+            (
+                lambda: Selector([GaussianScalar.approx(1.0)], float("inf")),
+                r"approx scale_sq must be finite, got inf\Z",
+            ),
+            (
+                lambda: Selector([GaussianScalar.approx(1.0)], float("nan")),
+                r"approx scale_sq must be finite, got nan\Z",
+            ),
+            (
+                lambda: Selector([GaussianScalar.approx(1.0)] * 3, 1e-320).inverse(),
+                r"approx scale_sq must be finite, got inf\Z",
+            ),
+            (
+                lambda: apply_selector(
+                    constant_structure(3, GaussianScalar.approx(1e200)),
+                    Selector([GaussianScalar.approx(1e200)] * 3),
+                ),
+                "approx labels too large: selector products overflow floats",
+            ),
             (lambda: Selector.ones(None), "selector size must be an int, got None"),
             (lambda: Selector.ones(True), "selector size must be an int, got True"),
             (lambda: Selector.constant(1.5, ONE), "selector size must be an int, got 1.5"),
@@ -439,6 +458,10 @@ class TestTournament:
             "str_approx_coefficient",
             "str_approx_point",
             "none_approx_scale_sq",
+            "inf_approx_scale_sq",
+            "nan_approx_scale_sq",
+            "inverse_of_subnormal_scale_sq",
+            "overflowing_selector_products",
             "none_selector_size",
             "bool_selector_size",
             "float_selector_size",
@@ -922,6 +945,18 @@ class TestJitteredApproxNormalization:
                         messages.add(str(exc).split(": ")[1].split(" by ")[0])
                         continue
                     assert report.equivalent or "different moduli" in report.reason
+        # labels of modulus 1/2 with the phase of (1,2) turned by 6e-8: each
+        # p * conj(q) of two phase products has modulus 1/64, so its
+        # imaginary part stays under eps and the phase test passes, but
+        # the witness misses that label by 3e-8
+        c = c_representation(transitive_tournament(5), GaussianScalar.approx(0.6, 0.8))
+        g = apply_selector(c, Selector.constant(5, GaussianScalar.approx(1.0), scale_sq=0.5))
+        rows = [list(row) for row in g.labels]
+        rows[1][2] = rows[1][2] * GaussianScalar.approx(math.cos(6e-8), math.sin(6e-8))
+        rows[2][1] = rows[1][2].conj()
+        with pytest.raises(InputError, match="too close to the tolerance") as raised:
+            are_equivalent(g, HermitianStructure(rows))
+        messages.add(str(raised.value).split(": ")[1].split(" by ")[0])
         assert messages == {
             "the selector values differ in modulus",
             "the equivalence witness misses the target",
@@ -946,6 +981,21 @@ class TestAreEquivalent:
                 are_equivalent(g, g)
             with pytest.raises(InputError, match="approx labels too large"):
                 g.common_modulus_squared()
+
+    def test_large_labels_are_compared_relative_to_their_size(self):
+        """A unit twist times 1e8 gives labels of modulus 1e16, whose
+        rounding is far above eps in absolute terms. The witness is checked
+        by the rule the canonical reduction uses, relative to the largest
+        component, so the structures are equivalent rather than refused;
+        normalize_at and the reduction accept the same input."""
+        approx = GaussianScalar.approx
+        g = c_representation(transitive_tournament(6), approx(0.6, 0.8))
+        twist = [approx(6e7, 8e7) if i % 2 else approx(8e7, -6e7) for i in range(6)]
+        h = apply_selector(g, Selector(twist))
+        report = are_equivalent(g, h)
+        assert report.equivalent and report.witness is not None
+        assert normalize_at(h, 0)[0] == normalize_at(g, 0)[0]
+        assert classify.reduce_to_canonical_labels(h).tournament == transitive_tournament(6)
 
     def test_witness_within_eps_of_zero_is_refused(self):
         """Labels of modulus 1e10 against 1e-8 need witness values of
