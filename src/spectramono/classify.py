@@ -64,7 +64,9 @@ class CanonicalReduction:
     apply_selector(canonical, selector) equal those of the input's
     _label_matrix at every ordered pair, literally in exact mode and by the
     rule of _pairs_match, relative to the largest component, in approx
-    mode (core._check_action).
+    mode (core._check_action). canonical and selector hold only their
+    pairs; their labels and values are views, built on first read, and
+    gamma is built on its own from its pair.
     """
 
     modulus_squared: object
@@ -104,13 +106,13 @@ def reduce_to_canonical_labels(g):
     the Gaussian-integer matrix A = D * M, whose common modulus squared msq
     is D^2 times that of g, and never divides: the phase products of A are
     D * msq times the rescaled phases, gamma among them. Approx mode works
-    on the float components and divides by msq up front. Scalars and
-    structures are built only for the returned CanonicalReduction, from
-    those pairs: the canonical structure by _from_pairs over D * msq, and
-    the selector by _selector_from_pairs, in exact mode from msq^2 * d over
-    msq^2. Between the two, the selector's pairs are re-applied to the
-    canonical structure and checked against g by core._check_action,
-    before the selector's own checks run.
+    on the float components and divides by msq up front. Structures are
+    built only for the returned CanonicalReduction, from those pairs: the
+    canonical structure by _from_pairs over D * msq, and the selector by
+    _selector_from_pairs, in exact mode from msq^2 * d over msq^2; the one
+    scalar built is gamma. Between the two, the selector's pairs are
+    re-applied to the canonical structure and checked against g by
+    core._check_action, before the selector's own checks run.
     """
     if not isinstance(g, HermitianStructure):
         raise InputError("reduce_to_canonical_labels takes a HermitianStructure")
@@ -182,7 +184,7 @@ def reduce_to_canonical_labels(g):
     selector = _selector_from_pairs(d, q, mode)
     return CanonicalReduction(
         modulus_squared=_descaled(msq, den, 2),
-        gamma=canonical.labels[0][1],
+        gamma=_scalar(gamma, shown, mode),
         real=real,
         tournament=Tournament(n, rows),
         canonical=canonical,

@@ -75,17 +75,22 @@ def _check_order(n):
 class HermitianStructure:
     """Immutable Hermitian zero-diagonal label matrix over Gaussian scalars.
 
-    Construction clears the labels once into the (re, im) pair matrix
-    (A, D) of _label_matrix, checks the zero diagonal and the conjugate
-    symmetry on those pairs, and keeps them for every kernel. Structures
-    the library builds itself (the selector action, representations,
-    substructures, normal and canonical forms) arrive as such pairs
-    through _from_pairs and get their scalars from them. Both routes end
-    in _assembled, the one place that checks a structure and sets its
-    slots.
+    A structure stores its labels only as the (re, im) pair matrix (A, D)
+    of _label_matrix, which every kernel reads. Construction clears the
+    given labels once into those pairs and checks the zero diagonal and the
+    conjugate symmetry on them. Structures the library builds itself (the
+    selector action, representations, substructures, normal and canonical
+    forms) arrive as such pairs through _from_pairs. Both routes end in
+    _assembled, the one place that checks a structure and sets its slots.
+
+    labels, the GaussianScalars, is a view of the pairs (see _scalars_of),
+    built on its first read and kept, whichever route built the structure.
+    Exact equality and hashing read the pairs, since (A, D) is canonical
+    (_from_pairs); approx structures compare their labels, each component
+    within eps, and do not hash.
     """
 
-    __slots__ = ("n", "mode", "labels", "_matrix")
+    __slots__ = ("n", "mode", "_matrix", "_labels")
 
     def __init__(self, labels):
         rows = tuple(_tuple_of(row, "a label row") for row in _tuple_of(labels, "label rows"))
@@ -98,7 +103,14 @@ class HermitianStructure:
         mode = _one_mode(
             [e for row in rows for e in row], "label", "labels mix exact and approx scalars"
         )
-        _assembled(self, *_cleared(rows, mode), mode, rows)
+        _assembled(self, *_cleared(rows, mode), mode)
+
+    @property
+    def labels(self):
+        """The labels as a tuple of row tuples of GaussianScalars."""
+        if self._labels is None:
+            object.__setattr__(self, "_labels", _scalars_of(*self._matrix, self.mode))
+        return self._labels
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianStructure is immutable")
@@ -126,14 +138,13 @@ class HermitianStructure:
             raise ModeMixError("cannot compare structures of different modes")
         if other.n != self.n:
             return False
-        return all(
-            self.labels[i][j] == other.labels[i][j]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        if self.mode == EXACT:
+            return self._matrix == other._matrix
+        return self.labels == other.labels
 
     def __hash__(self):
-        return hash((self.n, self.labels))
+        # the approx labels raise the TypeError of GaussianScalar
+        return hash(self._matrix if self.mode == EXACT else self.labels)
 
     def __repr__(self):
         return f"HermitianStructure(n={self.n}, mode={self.mode!r})"
@@ -212,53 +223,62 @@ def _cleared(rows, mode):
     return tuple([tuple([pairs[id(e)] for e in row]) for row in rows]), d
 
 
-def _from_pairs(a, d, mode, labels=None):
+def _from_pairs(a, d, mode):
     """The HermitianStructure with labels a / d for a pair matrix a (a
     tuple of row tuples of (re, im) pairs) that the library computed: int
     pairs over a positive int d in exact mode, float pairs with d None in
     approx mode. Its (A, D) is what _cleared gives for those labels, so
-    exact mode first divides out gcd(d, every component). Exact mode makes
-    one scalar per distinct pair; approx mode one per entry, so that a
-    non-finite component is the InputError of GaussianScalar (merging
-    entries by == would merge 0.0 and -0.0). A caller that already holds
-    the scalars of a / d passes them as labels. It ends in _assembled,
-    as HermitianStructure does."""
+    exact mode first divides out gcd(d, every component); two structures
+    of equal labels then have equal pairs. Approx pairs are kept as given.
+    Each source of approx pairs checks them to be finite (_finite) or
+    scales finite pairs down, so the labels, built from the pairs on first
+    read, raise no error of their own. It ends in _assembled, as
+    HermitianStructure does."""
     if mode == EXACT and d != 1:
         g = math.gcd(d, *(c for row in a for pair in row for c in pair))
         if g != 1:
             d //= g
             a = tuple([tuple([(re // g, im // g) for re, im in row]) for row in a])
-    if labels is None and mode == EXACT:
-        made = {}
-        for row in a:
-            for pair in row:
-                if pair not in made:
-                    made[pair] = GaussianScalar(ratio(pair[0], d), ratio(pair[1], d), mode)
-        labels = tuple([tuple([made[pair] for pair in row]) for row in a])
-    elif labels is None:
-        labels = tuple([tuple([GaussianScalar(re, im, mode) for re, im in row]) for row in a])
-    return _assembled(object.__new__(HermitianStructure), a, d, mode, labels)
+    return _assembled(object.__new__(HermitianStructure), a, d, mode)
 
 
-def _assembled(self, a, d, mode, labels):
-    """self, a new HermitianStructure, with labels, the scalars of the pair
-    matrix a / d: a is checked by _check_hermitian and every slot is set.
-    Both constructors end here."""
+def _assembled(self, a, d, mode):
+    """self, a new HermitianStructure with the pair matrix a over d: a is
+    checked by _check_hermitian and every slot is set, the labels view
+    still unbuilt. Both constructors end here."""
     _check_hermitian(a, mode)
     object.__setattr__(self, "n", len(a))
     object.__setattr__(self, "mode", mode)
-    object.__setattr__(self, "labels", labels)
     object.__setattr__(self, "_matrix", (a, d))
+    object.__setattr__(self, "_labels", None)
     return self
+
+
+def _scalars_of(rows, d, mode):
+    """The GaussianScalars of pair rows over d, as a tuple of row tuples:
+    the labels view of a structure, and in one row the values view of a
+    selector. Exact mode makes one scalar per distinct pair, so equal cells
+    share it; approx mode one per entry, since merging entries by == would
+    merge 0.0 and -0.0, which print apart."""
+    if mode == EXACT:
+        made = {
+            pair: GaussianScalar(ratio(pair[0], d), ratio(pair[1], d), mode)
+            for pair in set().union(*rows)
+        }
+        return tuple([tuple([made[pair] for pair in row]) for row in rows])
+    return tuple([tuple([GaussianScalar(re, im, mode) for re, im in row]) for row in rows])
 
 
 def _check_hermitian(a, mode):
     """Raise InvariantError unless the pair matrix a (of _cleared) has a
     zero diagonal and a(i, j) = conj(a(j, i)), going through i and, after
-    the diagonal entry at i, every j > i. Exact pairs compare literally;
-    approx pairs by the rule of GaussianScalar.is_zero and ==, each
-    component negligible next to 1. A = D * M passes exactly when M does.
-    The literal tests spare valid exact input every call."""
+    the diagonal entry at i, every j > i. Exact pairs compare literally.
+    An approx diagonal entry passes when each component is negligible next
+    to 1, as GaussianScalar.is_zero has it; an approx pair of conjugates by
+    the rule of _pairs_match, relative to their largest component, since
+    two products of large labels round apart by more than eps. A = D * M
+    passes exactly when M does. The literal tests spare valid exact input
+    every call."""
     n = len(a)
     for i in range(n):
         row = a[i]
@@ -268,9 +288,7 @@ def _check_hermitian(a, mode):
         for j in range(i + 1, n):
             re, im = row[j]
             cre, cim = a[j][i]
-            if (re != cre or im != -cim) and not (
-                negligible(re - cre, 0, mode) and negligible(im + cim, 0, mode)
-            ):
+            if (re != cre or im != -cim) and not _pairs_match((re, im), (cre, -cim), mode):
                 raise InvariantError(
                     f"labels at ({i},{j}) and ({j},{i}) are not conjugate"
                 )
@@ -496,16 +514,19 @@ class Selector:
     selector entries, so only scale_sq itself enters the arithmetic. This is
     what lets normalization stay exact when the common modulus is irrational.
 
-    Construction clears the values once into (re, im) pairs (S, R), as a
-    structure clears its labels (_cleared): Gaussian integers S over the
+    A selector stores its values only as (re, im) pairs (S, R), cleared as
+    a structure clears its labels (_cleared): Gaussian integers S over the
     lcm R of the value denominators in exact mode, the float components
     with R None in approx mode. _selector_assembled checks the values on
-    those pairs, and the selector keeps them for its action. Selectors the
-    library builds itself arrive as pairs through _selector_from_pairs and
-    end in the same check.
+    those pairs, and the action reads them. Selectors the library builds
+    itself arrive as pairs through _selector_from_pairs and end in the
+    same check.
+
+    values, the GaussianScalars, is a view of the pairs (see _scalars_of),
+    built on its first read and kept, whichever route built the selector.
     """
 
-    __slots__ = ("values", "scale_sq", "mode", "_pairs")
+    __slots__ = ("scale_sq", "mode", "_pairs", "_values")
 
     def __init__(self, values, scale_sq=1):
         values = _tuple_of(values, "selector values")
@@ -513,10 +534,19 @@ class Selector:
             raise InputError("a selector needs at least one value")
         mode = _one_mode(values, "selector value", "selector values mix modes")
         (pairs,), r = _cleared((values,), mode)
-        _selector_assembled(self, pairs, r, mode, scale_sq, values)
+        _selector_assembled(self, pairs, r, mode, scale_sq)
 
     def __setattr__(self, name, value):
         raise AttributeError("Selector is immutable")
+
+    @property
+    def values(self):
+        """The values as a tuple of GaussianScalars."""
+        if self._values is None:
+            pairs, r = self._pairs
+            (values,) = _scalars_of((pairs,), r, self.mode)
+            object.__setattr__(self, "_values", values)
+        return self._values
 
     @classmethod
     def ones(cls, n, mode=EXACT):
@@ -530,7 +560,7 @@ class Selector:
 
     @property
     def n(self):
-        return len(self.values)
+        return len(self._pairs[0])
 
     def modulus_squared(self):
         """|delta|^2, the square of the common modulus of the selector."""
@@ -572,11 +602,11 @@ class Selector:
         return f"Selector(n={self.n}, mode={self.mode!r}, scale_sq={self.scale_sq})"
 
 
-def _selector_assembled(self, pairs, r, mode, scale_sq, values):
-    """self, a new Selector, with values, the scalars of the pairs over r
-    (pairs as they are in approx mode), and scale_sq as real makes it: the
-    values are checked on their pairs and every slot is set. Both
-    constructors end here. A value must be nonzero by the rule of
+def _selector_assembled(self, pairs, r, mode, scale_sq):
+    """self, a new Selector with the value pairs over r (pairs as they are
+    in approx mode) and scale_sq as real makes it: the values are checked
+    on their pairs and every slot is set, the values view still unbuilt.
+    Both constructors end here. A value must be nonzero by the rule of
     GaussianScalar.is_zero, scale_sq positive, and the norms re^2 + im^2
     equal, within negligible next to the first; exact mode tests the int
     norms literally. A failed check is an InvariantError; an approx
@@ -599,47 +629,35 @@ def _selector_assembled(self, pairs, r, mode, scale_sq, values):
         other == msq or negligible(other - msq, msq, mode) for other in norms
     ):
         raise InvariantError("selector values must share one modulus")
-    object.__setattr__(self, "values", values)
     object.__setattr__(self, "scale_sq", scale_sq)
     object.__setattr__(self, "mode", mode)
     object.__setattr__(self, "_pairs", (pairs, r))
+    object.__setattr__(self, "_values", None)
     return self
 
 
-def _selector_from_pairs(pairs, q, mode, scale_sq=1, values=None):
+def _selector_from_pairs(pairs, q, mode, scale_sq=1):
     """The Selector with values pairs / q and scale_sq, for selector values
     the library computed: int pairs over an int q > 0 in exact mode, float
-    pairs with q None in approx mode. It keeps those pairs as its (S, R)
-    and ends in _selector_assembled, as Selector does. A failed check is a
-    broken invariant in exact mode and _too_close input in approx mode.
-    A caller that already holds the scalars of pairs / q passes them as
-    values."""
-    if values is None and mode == EXACT:
-        values = [GaussianScalar(ratio(re, q), ratio(im, q), mode) for re, im in pairs]
-    elif values is None:
-        values = [GaussianScalar(re, im, mode) for re, im in pairs]
+    pairs with q None in approx mode. It keeps those pairs as its (S, R),
+    builds its values from them on first read, and ends in
+    _selector_assembled, as Selector does. Approx pairs arrive finite, as
+    _from_pairs says. A failed check is a broken invariant in exact mode
+    and _too_close input in approx mode."""
     try:
-        return _selector_assembled(
-            object.__new__(Selector), tuple(pairs), q, mode, scale_sq, tuple(values)
-        )
+        return _selector_assembled(object.__new__(Selector), tuple(pairs), q, mode, scale_sq)
     except InvariantError as exc:
         raise _failed(mode, str(exc), _too_close("the selector values differ in modulus")) from None
 
 
 def substructure(g, vertices):
-    """Restriction of g to the given vertices, sorted ascending: the
-    labels and the pair matrix of g, sliced."""
+    """Restriction of g to the given vertices, sorted ascending: the pair
+    matrix of g, sliced."""
     if not isinstance(g, HermitianStructure):
         raise InputError("substructure takes a HermitianStructure")
     vs = _sorted_vertices(g.n, vertices, "substructure")
-    labels = g.labels
     a, d = _label_matrix(g)
-    return _from_pairs(
-        tuple(tuple(a[x][y] for y in vs) for x in vs),
-        d,
-        g.mode,
-        tuple(tuple(labels[x][y] for y in vs) for x in vs),
-    )
+    return _from_pairs(tuple(tuple(a[x][y] for y in vs) for x in vs), d, g.mode)
 
 
 def apply_selector(g, d):
@@ -694,17 +712,23 @@ def _check_action(g, pairs, scale_sq, target, failed, misses):
     as Selector keeps them, maps g onto target: re-applying a selector the
     library built is the check on the arithmetic that built it. The
     selector need not be built yet. It runs the arithmetic of
-    apply_selector (_acted) and compares the result, row by row, with the
-    pairs of target's _label_matrix at every ordered pair x != y: in exact
-    mode the int pairs over their two denominators, cross-multiplied, and
-    literally when the denominators are equal; in approx mode the float
-    pairs by the rule of _pairs_match. A miss is a broken invariant in
-    exact mode and _too_close input in approx mode; failed and misses word
-    the two messages and may name the first pair that misses as {x}, {y}.
+    apply_selector (_acted) and compares the result with the pairs of
+    target's _label_matrix. In exact mode target's (A, E) is canonical, so
+    the acted pairs over den of a selector that maps g onto target are A
+    times den / E, an int: the passing path scales A once and compares
+    literally. In approx mode the float pairs match literally or by the
+    rule of _pairs_match at every ordered pair x != y. A miss is a broken
+    invariant in exact mode and _too_close input in approx mode; failed
+    and misses word the two messages and may name the first pair that
+    misses as {x}, {y}, which the pair-by-pair loop finds (cross-multiplied
+    in exact mode when E does not divide den).
     """
     mode = g.mode
     rows, den = _acted(g, pairs, scale_sq)
     b, e = _label_matrix(target)
+    if mode == EXACT and den != e and den % e == 0:
+        k = den // e
+        b, e = tuple([tuple([(re * k, im * k) for re, im in row]) for row in b]), den
     if den == e and rows == b:
         return
     for x, (row, wanted) in enumerate(zip(rows, b)):
@@ -737,15 +761,14 @@ def c_representation(t, c):
             ConstantRepresentationWarning,
             stacklevel=2,
         )
-    # every label is one of three shared scalars, each cleared once
-    shared = (GaussianScalar.zero(c.mode), c, c.conj())
-    (pairs,), d = _cleared((shared,), c.mode)
-    rows, matrix = [], []
-    for x in range(t.n):
-        picks = [0 if x == y else 1 if t.rows[x] >> y & 1 else 2 for y in range(t.n)]
-        rows.append(tuple([shared[k] for k in picks]))
-        matrix.append(tuple([pairs[k] for k in picks]))
-    return _from_pairs(tuple(matrix), d, c.mode, tuple(rows))
+    # every label is the pair of zero, c or conj(c), with c cleared once
+    (((re, im),),), d = _cleared(((c,),), c.mode)
+    shared = ((0, 0) if c.mode == EXACT else (0.0, 0.0), (re, im), (re, -im))
+    matrix = tuple(
+        tuple(shared[0 if x == y else 1 if t.rows[x] >> y & 1 else 2] for y in range(t.n))
+        for x in range(t.n)
+    )
+    return _from_pairs(matrix, d, c.mode)
 
 
 def i_representation(t, mode=EXACT):
@@ -933,7 +956,7 @@ def are_equivalent(g, h):
             (h.labels[0][v].conj() * u0 * g.labels[0][v]).scale(1 / denominator)
         )
     (pairs,), q = _cleared((values,), mode)
-    witness = _selector_from_pairs(pairs, q, mode, values=values)
+    witness = _selector_from_pairs(pairs, q, mode)
     failed = "equivalence witness failed to reproduce the target"
     misses = "the equivalence witness misses the target"
     _check_action(g, witness._pairs, witness.scale_sq, h, failed, misses)

@@ -9,7 +9,12 @@ import genutil
 from spectramono import classify, core
 from spectramono.classify import classify_k3
 from spectramono.charpoly import RealPolynomial
-from spectramono.constructions import SignMatrix, closed_form_deletion_poly, pair_cycle_counts
+from spectramono.constructions import (
+    SignMatrix,
+    closed_form_deletion_poly,
+    i_weighted,
+    pair_cycle_counts,
+)
 from spectramono.core import (
     ConstantRepresentationWarning,
     HermitianStructure,
@@ -36,7 +41,16 @@ from spectramono.errors import (
     NotTwoMonomorphicError,
 )
 from spectramono.monomorphy import is_k_spectrally_monomorphic
-from spectramono.scalars import APPROX, EXACT, GaussianScalar, get_eps, negligible, rational, real
+from spectramono.scalars import (
+    APPROX,
+    EXACT,
+    GaussianScalar,
+    get_eps,
+    negligible,
+    rational,
+    rational_sqrt,
+    real,
+)
 
 ONE = GaussianScalar.one()
 I = GaussianScalar.i_unit()
@@ -83,6 +97,15 @@ class TestHermitianStructure:
         with pytest.raises(AttributeError):
             g.n = 5
 
+    def test_equality_reads_every_label(self):
+        """Structures over one common denominator differ when one label
+        does, in both modes."""
+        g = i_representation(THREE_CYCLE)
+        h = i_representation(transitive_tournament(3))
+        assert _label_matrix(g)[1] == _label_matrix(h)[1]
+        assert g != h
+        assert genutil.approx_copy(g) != genutil.approx_copy(h)
+
     def test_label_bounds(self):
         g = constant_structure(3, ONE)
         assert g.label(0, 1) == ONE
@@ -108,14 +131,23 @@ class TestHermitianStructure:
 
 def _scalar_rule_validation(rows):
     """The structure checks as GaussianScalar arithmetic states them, in
-    their order: is_zero on the diagonal entry at i, then == against
-    conj() for every j > i. The oracle for the checks on cleared pairs."""
+    their order: is_zero on the diagonal entry at i, then, for every j > i,
+    rows[i][j] against rows[j][i].conj(): == in exact mode; in approx mode
+    each component difference at most eps times the largest component of
+    the two, and never less than eps. The oracle for the checks on cleared
+    pairs."""
     n = len(rows)
     for i in range(n):
         if not rows[i][i].is_zero():
             raise InvariantError(f"diagonal entry at {i} must be zero")
         for j in range(i + 1, n):
-            if not rows[i][j] == rows[j][i].conj():
+            a, b = rows[i][j], rows[j][i].conj()
+            if a.mode == EXACT:
+                same = a == b
+            else:
+                tol = get_eps() * max(1.0, abs(a.re), abs(a.im), abs(b.re), abs(b.im))
+                same = abs(a.re - b.re) <= tol and abs(a.im - b.im) <= tol
+            if not same:
                 raise InvariantError(
                     f"labels at ({i},{j}) and ({j},{i}) are not conjugate"
                 )
@@ -132,8 +164,9 @@ def _outcome(check, rows):
 def _perturbed_grids(r, mode, count):
     """Random valid grids of one mode with one or two perturbations each,
     some of them no-ops: a label against a non-conjugate partner, a
-    nonzero diagonal, noise just inside or just outside eps (approx), or
-    -0.0 where 0.0 stood (approx). Cells share scalar objects, as parsed
+    nonzero diagonal, noise just inside or just outside the tolerance, eps
+    times the largest component and never less than eps (approx), or -0.0
+    where 0.0 stood (approx). Cells share scalar objects, as parsed
     documents do."""
     eps = get_eps()
     for _ in range(count):
@@ -162,7 +195,8 @@ def _perturbed_grids(r, mode, count):
                 nonzero = pool if mode == EXACT else pool + [GaussianScalar.approx(eps / 2)]
                 rows[x][x] = r.choice(nonzero)
             elif mode == APPROX and kind in ("inside", "outside"):
-                delta = eps * (1 - 1e-6 if kind == "inside" else 1 + 1e-6) * r.choice((-1, 1))
+                delta = eps * max(1.0, abs(e.re), abs(e.im)) * r.choice((-1, 1))
+                delta *= 1 - 1e-6 if kind == "inside" else 1 + 1e-6
                 if r.random() < 0.5:
                     rows[x][y] = GaussianScalar.approx(e.re + delta, e.im)
                 else:
@@ -225,8 +259,8 @@ class TestClearedMatrix:
         """A k3-sweep op (build, classify_k3, enumeration at k = 3) converts
         the labels of each structure it builds exactly once, when the
         structure is built, by either route: __init__ clears its scalars
-        into pairs, _from_pairs makes its scalars from pairs. Every kernel
-        reads that matrix."""
+        into pairs, _from_pairs takes pairs, and the labels of either are a
+        view of them. Every kernel reads that matrix."""
         converted = []
         original = core._cleared
 
@@ -245,8 +279,8 @@ class TestClearedMatrix:
         monkeypatch.setattr(HermitianStructure, "__init__", spy_init)
         from_pairs = core._from_pairs
 
-        def spy_from_pairs(a, d, mode, labels=None):
-            h = from_pairs(a, d, mode, labels)
+        def spy_from_pairs(a, d, mode):
+            h = from_pairs(a, d, mode)
             converted.append(h.labels)
             built.append(h)
             return h
@@ -261,10 +295,31 @@ class TestClearedMatrix:
             classify_k3(g)
             is_k_spectrally_monomorphic(g, 3)
             # the other calls clear one row: the values of a selector, or
-            # the three labels a representation shares
+            # the label of a representation
             matrices = [rows for rows in converted if len(rows) > 1]
             assert [id(rows) for rows in matrices] == [id(h.labels) for h in built]
             assert built[0] is g and len(built) > 1
+
+    def test_k3_sweep_op_builds_two_scalars(self, monkeypatch):
+        """A k3-sweep op builds at most two GaussianScalars, the label i of
+        its i-representation and the gamma of its canonical reduction: the
+        labels of its structures and the values of its selector are views
+        that nothing in the op reads."""
+        built = []
+        init = GaussianScalar.__init__
+
+        def counting_init(self, re, im, mode):
+            built.append((re, im))
+            init(self, re, im, mode)
+
+        monkeypatch.setattr(GaussianScalar, "__init__", counting_init)
+        r = genutil.rng(78)
+        for t in [transitive_tournament(6)] + [genutil.random_tournament(r, 6) for _ in range(5)]:
+            built.clear()
+            g = i_representation(t)
+            assert classify_k3(g).monomorphic
+            assert is_k_spectrally_monomorphic(g, 3).monomorphic
+            assert len(built) <= 2
 
     def test_from_pairs_agrees_with_init(self):
         """_from_pairs on a pair matrix over any multiple of D gives the
@@ -285,6 +340,7 @@ class TestClearedMatrix:
             )
             assert _label_matrix(h) == (a, d)
             assert h.labels == g.labels and h.n == n and h.mode == EXACT
+            assert h == g and hash(h) == hash(g)
 
     def test_from_pairs_keeps_approx_signed_zeros(self):
         """In approx mode each entry gets its own scalar, so 0.0 and -0.0
@@ -309,6 +365,143 @@ class TestClearedMatrix:
             assert [[z.to_text() for z in row] for row in h.labels] == [
                 [z.to_text() for z in row] for row in g.labels
             ]
+
+
+def _texts(rows):
+    return [[z.to_text() for z in row] for row in rows]
+
+
+class TestScalarViews:
+    """labels and values are views of the pairs, built on first read and
+    kept. Each view holds the scalars that GaussianScalar arithmetic gives
+    for its construction, by value and by to_text; approx floats agree bit
+    for bit, signed zeros included. The views of _from_pairs and of
+    apply_selector are checked so in TestClearedMatrix and in
+    TestApplySelector::test_matches_scalar_arithmetic."""
+
+    @staticmethod
+    def _check(g, want):
+        labels = g.labels
+        assert labels is g.labels
+        assert _texts(labels) == _texts(want)
+        if g.mode == EXACT:
+            assert labels == tuple(tuple(row) for row in want)
+
+    @staticmethod
+    def _zero_diagonal(rows, mode):
+        zero = GaussianScalar.zero(mode)
+        return [[zero if x == y else z for y, z in enumerate(row)] for x, row in enumerate(rows)]
+
+    def test_init(self):
+        """The view of a structure built from labels holds scalars equal to
+        the given ones, signed approx zeros included."""
+        r = genutil.rng(84)
+        for _ in range(10):
+            exact = genutil.random_hermitian(r, r.randrange(1, 6))
+            signed = [
+                [GaussianScalar.approx(float(z.re) or r.choice((0.0, -0.0)), float(z.im)) for z in row]
+                for row in exact.labels
+            ]
+            for rows in (exact.labels, signed):
+                self._check(HermitianStructure(rows), rows)
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_representation_and_substructure(self, mode):
+        r = genutil.rng(85 if mode == EXACT else 86)
+        for _ in range(20):
+            n = r.randrange(1, 7)
+            t = genutil.random_tournament(r, n)
+            c = UNIT_C if mode == EXACT else GaussianScalar.approx(0.6, -0.8)
+            g = c_representation(t, c)
+            arcs = [[c if t.dominates(x, y) else c.conj() for y in range(n)] for x in range(n)]
+            self._check(g, self._zero_diagonal(arcs, mode))
+            vs = sorted(r.sample(range(n), r.randint(1, n)))
+            self._check(substructure(g, vs), [[g.labels[x][y] for y in vs] for x in vs])
+
+    def test_normal_form_and_its_selector(self):
+        r = genutil.rng(87)
+        for _ in range(20):
+            n = r.randrange(2, 7)
+            g = apply_selector(
+                c_representation(genutil.random_tournament(r, n), UNIT_C),
+                genutil.random_selector(r, n, scale_pool=(1, "9/4", "1/4")),
+            )
+            w = r.randrange(n)
+            normal, d = normalize_at(g, w)
+            m = rational_sqrt(g.common_modulus_squared())
+            lab = g.labels
+
+            def phase(u, v):
+                return (lab[w][u] * lab[u][v] * lab[w][v].conj()).scale(1 / m**3)
+
+            want = [[ONE if w in (u, v) else phase(u, v) for v in range(n)] for u in range(n)]
+            self._check(normal, self._zero_diagonal(want, EXACT))
+            values = [ONE if x == w else lab[w][x].scale(1 / m) for x in range(n)]
+            assert d.values is d.values and d.values == tuple(values) and d.scale_sq == 1 / m
+            assert [z.to_text() for z in d.values] == [z.to_text() for z in values]
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_canonical_reduction(self, mode):
+        r = genutil.rng(88 if mode == EXACT else 89)
+        for _ in range(20):
+            n = r.randrange(5, 8)
+            label = r.choice((UNIT_C, I, ONE))
+            t = transitive_tournament(n) if label == UNIT_C else genutil.random_tournament(r, n)
+            g = apply_selector(
+                constant_structure(n, ONE) if label == ONE else c_representation(t, label),
+                genutil.random_selector(r, n, scale_pool=(1, "9/4")),
+            )
+            if mode == APPROX:
+                g = genutil.approx_copy(g)
+            red = classify.reduce_to_canonical_labels(g)
+            gamma = red.gamma
+            against = gamma if red.real else gamma.conj()
+            t = red.tournament
+            want = [[gamma if t.dominates(x, y) else against for y in range(n)] for x in range(n)]
+            self._check(red.canonical, self._zero_diagonal(want, mode))
+            if mode == EXACT:
+                msq = red.modulus_squared
+                values = [ONE] + [(g.labels[0][v].conj() * gamma).scale(1 / msq) for v in range(1, n)]
+                assert red.selector.values == tuple(values)
+                assert [z.to_text() for z in red.selector.values] == [z.to_text() for z in values]
+
+    def test_i_weighted(self):
+        entries = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+        g = i_weighted(SignMatrix(entries))
+        self._check(g, [[GaussianScalar.exact(0, e) for e in row] for row in entries])
+
+    def test_selector_init(self):
+        """The view of a selector built from values holds scalars equal to
+        the given ones, signed approx zeros included; _selector_from_pairs
+        is checked so in TestSelector::test_keeps_the_pairs_of_its_values."""
+        r = genutil.rng(90)
+        for _ in range(10):
+            values = [r.choice(genutil.UNIT_POOL) for _ in range(r.randint(1, 6))]
+            signed = [
+                GaussianScalar.approx(float(v.re), float(v.im) or r.choice((0.0, -0.0)))
+                for v in values
+            ]
+            for vs in (values, signed):
+                d = Selector(vs, 4)
+                assert d.values is d.values
+                assert [v.to_text() for v in d.values] == [v.to_text() for v in vs]
+            assert Selector(values).values == tuple(values)
+
+    def test_views_cannot_be_assigned(self):
+        g = i_representation(THREE_CYCLE)
+        d = Selector.ones(3)
+        for obj, name in ((g, "labels"), (g, "_labels"), (d, "values"), (d, "_values")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        assert g.labels[0][1] == I and d.values == (ONE,) * 3
+
+    def test_approx_structures_and_selectors_do_not_hash(self):
+        g = genutil.approx_copy(i_representation(THREE_CYCLE))
+        d = Selector.ones(3, APPROX)
+        for obj in (g, d):
+            with pytest.raises(TypeError):
+                hash(obj)
+        assert g == genutil.approx_copy(i_representation(THREE_CYCLE))
 
 
 class TestTournament:
@@ -706,6 +899,19 @@ class TestApplySelector:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             apply_selector(constant_structure(3, ONE), Selector.ones(4))
+
+    def test_large_approx_products_are_compared_relative_to_their_size(self):
+        """The products d(x) g(x, y) conj(d(y)) and d(y) g(y, x) conj(d(x))
+        of labels of modulus 2.5e7 round apart by more than eps, so the
+        conjugate check compares approx pairs relative to their largest
+        component."""
+        a = GaussianScalar.approx
+        g = c_representation(transitive_tournament(5), a(0.6, 0.8))
+        for scale_sq in (1e5, 1e6, 1e12):
+            d = Selector([a(3, 4), a(4, -3), a(3, 4), a(-3, 4), a(5, 0)], scale_sq)
+            h = apply_selector(g, d)
+            assert math.isclose(h.common_modulus_squared(), 625 * scale_sq**2, rel_tol=1e-12)
+            assert are_equivalent(g, h).equivalent
 
     def test_matches_scalar_arithmetic(self):
         """The action on component pairs gives what the scalar formula

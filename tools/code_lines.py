@@ -6,17 +6,22 @@ lines, docstrings and the continuation lines of a multi-line string do not
 count. Run from the repository root:
 
     python3 tools/code_lines.py
+    python3 tools/code_lines.py REF
 
-It prints the total over src/spectramono. Only the standard library is
-used.
+The first prints the total over src/spectramono. The second also counts
+the package as it is at the git revision REF (read with `git show`) and
+prints `REF N -> worktree M (M - N)`. Only the standard library is used.
 """
 
 import ast
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spectramono"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spectramono"
 _SKIPPED = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -58,9 +63,33 @@ def code_lines(source):
     return len(lines)
 
 
-def main():
-    print(sum(code_lines(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")))
+def _git(*args):
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    except subprocess.CalledProcessError as exc:
+        sys.exit(exc.stderr.strip())
+    return done.stdout
+
+
+def ref_sources(ref):
+    """The source text of each module of the package at the git revision ref."""
+    tree = f"{ref}:{PACKAGE.relative_to(ROOT).as_posix()}"
+    for name in _git("ls-tree", "--name-only", tree).split():
+        if name.endswith(".py"):
+            yield _git("show", f"{tree}/{name}")
+
+
+def main(argv):
+    now = sum(code_lines(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py"))
+    if not argv:
+        print(now)
+        return
+    if len(argv) > 1:
+        sys.exit("usage: python3 tools/code_lines.py [REF]")
+    (ref,) = argv
+    before = sum(code_lines(source) for source in ref_sources(ref))
+    print(f"{ref} {before} -> worktree {now} ({now - before:+d})")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
