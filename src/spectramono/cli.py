@@ -7,7 +7,8 @@ document, everything else prints a report. Exit codes:
     0  success / the checked property holds
     1  the checked property fails (report carries a witness)
     2  input or format error, including a document whose entries are not a
-       valid structure (labels that are not Hermitian, say)
+       valid structure (labels that are not Hermitian, say) and a value
+       too long for Python to print
     3  requested k outside the theorem ranges and --force-brute not given
 
 The environment variable SPECTRAMONO_EPS overrides the approx-mode
@@ -477,6 +478,15 @@ def _run(argv):
     except InvariantError:
         # invariant violations are bugs and crash loudly
         raise
+    except ValueError as exc:
+        # str() of an int past sys.get_int_max_str_digits() digits, in a
+        # report or an error message, is input too large to print; any
+        # other ValueError is a bug
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        message = f"a value to print has more than {limit} digits, Python's limit for printing an int"
+        return _error("input", message + " (sys.get_int_max_str_digits())"), EXIT_INPUT
     except SpectramonoError as exc:
         # everything else a user can trigger is an input problem
         return _error(type(exc).__name__, str(exc)), EXIT_INPUT

@@ -34,7 +34,6 @@ from .scalars import (
     ratio,
     real,
     rational_sqrt,
-    two_square_root,
 )
 
 
@@ -857,19 +856,17 @@ class EquivalenceReport:
     """Outcome of are_equivalent.
 
     witness maps the first structure onto the second when equivalence holds
-    and a selector with rational components exists. note explains a missing
-    witness (the connecting selector can need an irrational modulus even
-    between exact structures, for example constant 1 versus constant 3).
+    and an exact selector exists; it is in split form, as normalize_at
+    returns its own, so only |delta|^2 needs to be rational. note explains
+    a missing witness: the connecting |delta|^2 can be irrational even
+    between exact structures, for example labels 1 versus 1+i, where
+    |delta|^4 = 2.
     """
 
     equivalent: bool
     reason: Optional[str] = None
     witness: Optional[Selector] = None
     note: Optional[str] = None
-
-
-def _real_positive(re, im, mode):
-    return negligible(im, re, mode) and re > 0
 
 
 def are_equivalent(g, h):
@@ -879,9 +876,15 @@ def are_equivalent(g, h):
     without a common nonzero label modulus are reported inequivalent with a
     reason (they cannot be normalized). Otherwise g ~ h exactly when their
     normalized forms at vertex 0 agree, which is compared through the phase
-    products g(0,u) g(u,v) conj(g(0,v)) so no square roots are needed. A
-    witness is re-applied to g by _check_action against h before it is
-    returned.
+    products g(0,u) g(u,v) conj(g(0,v)) so no square roots are needed.
+
+    The witness is in split form, as normalize_at's: d(0) = 1 and
+    d(v) = conj(h(0,v)) g(0,v) / (s0 m_g^2) for v >= 1, all of modulus 1,
+    with scale_sq = s0 = m_h / m_g for the common label moduli m_g and m_h.
+    So an exact witness exists exactly when s0 is rational; labels 1 versus
+    1+i, where s0^2 = 2, get a note instead. It is built from the pairs of
+    _label_matrix, over one int denominator in exact mode, and re-applied
+    to g by _check_action against h before it is returned.
     """
     if not isinstance(g, HermitianStructure) or not isinstance(h, HermitianStructure):
         raise InputError("are_equivalent takes two HermitianStructures")
@@ -891,72 +894,46 @@ def are_equivalent(g, h):
         raise InputError("structures must have the same number of vertices")
     if g.n == 1:
         return EquivalenceReport(True, witness=Selector.ones(1, g.mode))
-    try:
-        msq_g = g.common_modulus_squared()
-    except NotTwoMonomorphicError as exc:
-        return EquivalenceReport(False, reason=f"left structure: {exc}")
-    try:
-        msq_h = h.common_modulus_squared()
-    except NotTwoMonomorphicError as exc:
-        return EquivalenceReport(False, reason=f"right structure: {exc}")
-    # exact mode drops the positive factors D^-3 of _label_matrix, which
-    # change neither the sign nor the realness of p * conj(q)
     mode = g.mode
-    a, _ = _label_matrix(g)
-    b, _ = _label_matrix(h)
+    a, d = _label_matrix(g)
+    b, e = _label_matrix(h)
+    msq = []
+    for side, pairs in (("left", a), ("right", b)):
+        try:
+            msq.append(common_modulus_squared_of_pairs(pairs, mode))
+        except NotTwoMonomorphicError as exc:
+            return EquivalenceReport(False, reason=f"{side} structure: {exc}")
+    msq_a, msq_b = msq
+    # exact mode drops the positive factors D^-3 of _label_matrix, which
+    # change neither the sign nor the realness of p * conj(q); pair_product
+    # forms a * conj(b) with (1, 0) as its middle factor
     for u in range(1, g.n):
         for v in range(u + 1, g.n):
-            pr, pi = _finite(pair_product(a[0][u], a[u][v], a[0][v]), mode)
-            qr, qi = _finite(pair_product(b[0][u], b[u][v], b[0][v]), mode)
-            # p * conj(q), the floats of GaussianScalar arithmetic
-            z = _finite((pr * qr + pi * qi, pi * qr - pr * qi), mode)
-            if not _real_positive(*z, mode):
-                return EquivalenceReport(
-                    False,
-                    reason=f"normalized forms differ at pair ({u},{v})",
-                )
+            p = _finite(pair_product(a[0][u], a[u][v], a[0][v]), mode)
+            q = _finite(pair_product(b[0][u], b[u][v], b[0][v]), mode)
+            re, im = _finite(pair_product(p, (1, 0), q), mode)
+            if not (negligible(im, re, mode) and re > 0):
+                return EquivalenceReport(False, reason=f"normalized forms differ at pair ({u},{v})")
     # Phases agree, so the structures are equivalent over the complex
-    # numbers. Build a rational witness when one exists.
-    ratio = msq_h / msq_g
-    if g.mode == EXACT:
-        s0 = rational_sqrt(ratio)
+    # numbers; the witness is exact when s0 is.
+    if mode == EXACT:
+        # m_h^2 / m_g^2, with msq_a = D^2 m_g^2 and msq_b = E^2 m_h^2
+        moduli = ratio(msq_b * d * d, msq_a * e * e)
+        s0 = rational_sqrt(moduli)
         if s0 is None:
-            return EquivalenceReport(
-                True,
-                note=(
-                    "equivalent, but the connecting selector needs "
-                    f"|delta|^2 = sqrt({ratio}) which is irrational"
-                ),
-            )
-        try:
-            u0 = two_square_root(s0)
-        except InputError:
-            return EquivalenceReport(
-                True,
-                note=(
-                    f"equivalent, but |delta|^2 = {s0} is too large for the "
-                    "two-square search, so no exact witness was searched"
-                ),
-            )
-        if u0 is None:
-            return EquivalenceReport(
-                True,
-                note=(
-                    "equivalent, but no Gaussian rational has modulus squared "
-                    f"{s0}, so no exact witness exists"
-                ),
-            )
+            note = f"equivalent, but the connecting selector needs |delta|^2 = sqrt({moduli})"
+            return EquivalenceReport(True, note=f"{note} which is irrational")
+        # d(v) = A(0,v) conj(B(0,v)) D / (E s0 msq_a), over one int den
+        num, den = d * s0.denominator, e * s0.numerator * msq_a
+        one = (den, 0)
     else:
-        s0 = math.sqrt(ratio)
-        u0 = GaussianScalar.approx(math.sqrt(s0), 0.0)
-    denominator = s0 * msq_g
-    values = [u0]
+        s0 = math.sqrt(msq_b / msq_a)
+        num, den, one = 1 / (s0 * msq_a), None, (1.0, 0.0)
+    values = [one]
     for v in range(1, g.n):
-        values.append(
-            (h.labels[0][v].conj() * u0 * g.labels[0][v]).scale(1 / denominator)
-        )
-    (pairs,), q = _cleared((values,), mode)
-    witness = _selector_from_pairs(pairs, q, mode)
+        re, im = pair_product(a[0][v], (1, 0), b[0][v])
+        values.append((re * num, im * num))
+    witness = _selector_from_pairs(values, den, mode, s0)
     failed = "equivalence witness failed to reproduce the target"
     misses = "the equivalence witness misses the target"
     _check_action(g, witness._pairs, witness.scale_sq, h, failed, misses)

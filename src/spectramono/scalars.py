@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
+import sys
 
 from .errors import InputError, InvariantError, ModeMixError
 
@@ -144,6 +146,9 @@ def real(value, mode):
         raise InputError(f"cannot interpret {value!r} as an approx float") from None
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def rational(value):
     """Coerce value to an exact rational. Floats are rejected on purpose:
     an exact computation must never silently absorb binary rounding."""
@@ -164,10 +169,25 @@ def rational(value):
     if isinstance(value, numbers.Rational):
         return _rat(value.numerator, value.denominator)
     if isinstance(value, str):
-        try:
-            return _rat(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {value!r}: {exc}")
+        # Python prints no int of more digits than limit, so a literal whose
+        # exponent takes its value past them is refused: past the first
+        # bound, where the value has more than |exponent| - len(mantissa)
+        # digits, before it is built, which takes time that grows with the
+        # exponent. limit is 0 with no exponent, and where Python has none.
+        match = _EXPONENT.search(value)
+        limit = getattr(sys, "get_int_max_str_digits", int)() if match else 0
+        exponent = match and match[1].replace("_", "").lstrip("+-")
+        if not limit or (len(exponent) <= len(str(limit)) and int(exponent) <= limit + match.start()):
+            try:
+                q = _rat(value.strip())
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"bad rational literal {value!r}: {exc}")
+            if not limit or max(abs(q.numerator), q.denominator) < 10**limit:
+                return q
+        raise InputError(
+            f"bad rational literal {value!r}: its exponent takes it past {limit} digits, "
+            "Python's limit for printing an int (sys.get_int_max_str_digits())"
+        )
     if isinstance(value, _RAT_TYPE):
         return value
     raise InputError(f"cannot interpret {value!r} as an exact rational")
@@ -187,56 +207,6 @@ def rational_sqrt(q):
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return _rat(rn, rd)
-    return None
-
-
-# the most values of a that two_square_root tries, about 0.25 s of search
-TWO_SQUARE_CANDIDATES = 1 << 20
-# two_square_root divides out the odd numbers 3 mod 4 below this before its search
-TWO_SQUARE_TRIAL_BOUND = 1000
-
-
-def two_square_root(q):
-    """Some exact Gaussian scalar u with |u|^2 == q, or None when none exists.
-
-    A positive rational p/r (reduced) is a sum of two rational squares exactly
-    when p*r is a sum of two integer squares a^2 + b^2, that is when every
-    prime 3 mod 4 divides p*r to an even power. So None comes at once when
-    the odd part of p*r is 3 mod 4, or when trial division by the odd
-    numbers 3 mod 4 below TWO_SQUARE_TRIAL_BOUND, each divided out in full
-    in increasing order (so only primes divide), finds an odd power. The
-    search is brute force over a from isqrt(p*r) down to a >= b, so the
-    largest a is found first. It tries at most TWO_SQUARE_CANDIDATES
-    values, since the range grows with sqrt(p*r); a search that ends there
-    without an answer is an InputError, not a claim that none exists.
-    """
-    q = rational(q)
-    if q <= 0:
-        return None
-    num, den = int(q.numerator), int(q.denominator)
-    target = num * den
-    odd = target >> ((target & -target).bit_length() - 1)
-    if odd % 4 == 3:
-        return None
-    for p in range(3, TWO_SQUARE_TRIAL_BOUND, 4):
-        power = 0
-        while odd % p == 0:
-            odd //= p
-            power += 1
-        if power % 2:
-            return None
-    top = math.isqrt(target)
-    bottom = math.isqrt((target - 1) // 2)
-    for a in range(top, max(bottom, top - TWO_SQUARE_CANDIDATES), -1):
-        rest = target - a * a
-        b = math.isqrt(rest)
-        if b * b == rest:
-            return GaussianScalar.exact(_rat(a, den), _rat(b, den))
-    if top - bottom > TWO_SQUARE_CANDIDATES:
-        raise InputError(
-            f"{q} is too large for the two-square search: "
-            f"more than {TWO_SQUARE_CANDIDATES} candidates"
-        )
     return None
 
 

@@ -160,3 +160,48 @@ def jittered_c_representations(
                 rows[y][x] = z.conj()
         out.append((g, HermitianStructure(rows)))
     return out
+
+
+def twisted(r, g):
+    """g twisted by a random selector of UNIT_POOL or MOD5_POOL values with
+    a scale factor from EQUIVALENCE_SCALES."""
+    from spectramono import apply_selector
+
+    pool = r.choice((UNIT_POOL, MOD5_POOL))
+    values = [r.choice(pool) for _ in range(g.n)]
+    return apply_selector(g, Selector(values, rational(r.choice(EQUIVALENCE_SCALES))))
+
+
+# scale factors for equivalence_pairs: ratios of two of them that are sums
+# of two rational squares, that are not (3, 7, 1/3, 10^24 + 7), and 10^18
+EQUIVALENCE_SCALES = (1, 2, 3, 7, "1/3", "9/4", 10**24 + 7, 10**10, "1/100000000")
+
+
+def equivalence_pairs(seed, count):
+    """count seeded exact pairs (g, h) for are_equivalent. Most are twins:
+    one c-representation twisted by two random selectors with scale
+    factors drawn from EQUIVALENCE_SCALES, so |delta|^2 may have no
+    Gaussian rational square root, or be 1e18. The rest are a twist of
+    the reversed tournament's representation, inequivalent unless the
+    tournament is self-converse, and two-vertex structures whose labels
+    differ in modulus squared by a factor 2, where |delta|^2 is
+    irrational."""
+    from spectramono import c_representation
+
+    r = rng(seed)
+    labels = [z for z in UNIT_POOL if not z.is_real()]
+    out = []
+    for _ in range(count):
+        kind = r.random()
+        if kind < 0.1:
+            z = random_exact_scalar(r, nonzero=True)
+            w = z * GaussianScalar.exact(1, 1)
+            zero = GaussianScalar.exact(0)
+            out.append(tuple(HermitianStructure([[zero, v], [v.conj(), zero]]) for v in (z, w)))
+            continue
+        t = random_tournament(r, r.randrange(2, 7))
+        label = r.choice(labels)
+        base = c_representation(t, label)
+        other = c_representation(t.reverse(), label) if kind < 0.3 else base
+        out.append((twisted(r, base), twisted(r, other)))
+    return out

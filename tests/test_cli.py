@@ -380,6 +380,28 @@ class TestErrorsAndEnvironment:
         assert report["error"]["kind"] == "input"
         assert "overflow" in report["error"]["message"]
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", int)(), reason="Python prints ints of any length"
+    )
+    def test_values_too_long_to_print_are_input_errors(self, tmp_path, capsys):
+        """Labels 10^1000 give char_poly coefficients past Python's limit
+        for printing an int, and labels 10^5000 are past it themselves:
+        both exit 2 with an input error that names the limit, where the
+        ValueError of str() once crashed with exit 1."""
+        limit = sys.get_int_max_str_digits()
+        for label, argv in (
+            ("1e1000", ("check", "--k", "5")),
+            ("1e5000", ("check", "--k", "2")),
+            ("1e5000", ("classify", "--k", "3")),
+        ):
+            doc = _approx_doc([["0" if x == y else label for y in range(5)] for x in range(5)])
+            path = tmp_path / "long.json"
+            path.write_text(json.dumps({**doc, "mode": "exact"}))
+            code, report = run(capsys, argv[0], "--input", str(path), *argv[1:])
+            assert code == 2
+            assert report["error"]["kind"] == "input"
+            assert f"{limit} digits" in report["error"]["message"]
+
     def test_overflowing_phase_products_name_the_labels(self, tmp_path, capsys):
         """|label|^2 fits a float but the triple phase products of the
         reduction do not: the error names the labels, not a product."""

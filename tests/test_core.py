@@ -45,6 +45,7 @@ from spectramono.scalars import (
     APPROX,
     EXACT,
     GaussianScalar,
+    _pairs_match,
     get_eps,
     negligible,
     rational,
@@ -1204,17 +1205,22 @@ class TestAreEquivalent:
         assert classify.reduce_to_canonical_labels(h).tournament == transitive_tournament(6)
 
     def test_witness_within_eps_of_zero_is_refused(self):
-        """Labels of modulus 1e10 against 1e-8 need witness values of
-        modulus about 1e-9, which approx mode counts as zero, as Selector
-        does: the witness drifts past the tolerance and is refused as
-        input. The other direction needs values of modulus about 1e9."""
+        """Labels of modulus 1e10 against 1e-8 once needed witness values of
+        modulus about 1e-9, which approx mode counts as zero, so the witness
+        was refused as input. The split-form witness has unit values and
+        carries |delta|^2 = 1e-18 in scale_sq, so both directions get one."""
         c = c_representation(transitive_tournament(5), GaussianScalar.approx(0.6, 0.8))
         one = GaussianScalar.approx(1.0)
         g = apply_selector(c, Selector.constant(5, one, scale_sq=1e10))
         h = apply_selector(c, Selector.constant(5, one, scale_sq=1e-8))
-        with pytest.raises(InputError, match="selector values differ in modulus"):
-            are_equivalent(g, h)
-        assert are_equivalent(h, g).witness is not None
+        for source, target, s0 in ((g, h, 1e-18), (h, g, 1e18)):
+            report = are_equivalent(source, target)
+            assert report.equivalent and report.witness is not None
+            assert _reproduces(source, report.witness, target)
+            assert report.witness.scale_sq == pytest.approx(s0)
+        # labels of modulus 1e10 round apart by more than eps, which
+        # approx == reads absolutely, so only this direction meets it
+        assert apply_selector(g, are_equivalent(g, h).witness) == h
 
     def test_reflexive(self):
         g = i_representation(THREE_CYCLE)
@@ -1268,14 +1274,15 @@ class TestAreEquivalent:
         assert not are_equivalent(g, h).equivalent
 
     def test_constant_one_vs_three(self):
-        """Equivalent over the complex numbers, but |delta|^2 = 3 has no
-        Gaussian rational realization, so no witness can be returned."""
+        """|delta|^2 = 3 has no Gaussian rational realization, but the
+        split-form witness carries it as scale_sq = 3 with unit values."""
         g = constant_structure(3, ONE)
         h = constant_structure(3, GaussianScalar.exact(3))
         report = are_equivalent(g, h)
         assert report.equivalent
-        assert report.witness is None
-        assert "3" in report.note
+        assert report.witness is not None
+        assert apply_selector(g, report.witness) == h
+        assert report.witness.scale_sq == 3
 
     def test_constant_one_vs_two_has_witness(self):
         g = constant_structure(3, ONE)
@@ -1286,31 +1293,34 @@ class TestAreEquivalent:
         assert apply_selector(g, report.witness) == h
 
     def test_huge_modulus_answers_fast(self):
-        """|delta|^2 = 1000000000039 * 1000000000063 is beyond the
-        two-square search, which would take hours: both primes are 3 mod 4,
-        so no witness exists, but nothing short of factoring shows it. The
-        report says no witness was searched, not that none exists, and
-        comes back at once."""
+        """|delta|^2 = 1000000000039 * 1000000000063 is a product of two
+        primes 3 mod 4, so no Gaussian rational has it as its modulus
+        squared, and nothing short of factoring shows that. The split-form
+        witness needs no such search: it comes back at once."""
         g = constant_structure(3, ONE)
-        h = constant_structure(3, GaussianScalar.exact(1000000000039 * 1000000000063))
+        s0 = 1000000000039 * 1000000000063
+        h = constant_structure(3, GaussianScalar.exact(s0))
         start = time.perf_counter()
         report = are_equivalent(g, h)
         assert time.perf_counter() - start < 1.0
         assert report.equivalent
-        assert report.witness is None
-        assert "no exact witness was searched" in report.note
-        assert "exists" not in report.note
+        assert report.witness is not None
+        assert apply_selector(g, report.witness) == h
+        assert report.witness.scale_sq == s0
 
     def test_obstructed_modulus_answers_at_once(self):
         """|delta|^2 = 10^24 + 7 is 3 mod 4, so no Gaussian rational has it
-        as its modulus squared: the report says so without a search."""
-        h = constant_structure(3, GaussianScalar.exact(10**24 + 7))
+        as its modulus squared; the split-form witness carries it as
+        scale_sq and comes back at once."""
+        s0 = 10**24 + 7
+        h = constant_structure(3, GaussianScalar.exact(s0))
         start = time.perf_counter()
         report = are_equivalent(constant_structure(3, ONE), h)
         assert time.perf_counter() - start < 0.05
         assert report.equivalent
-        assert report.witness is None
-        assert "no exact witness exists" in report.note
+        assert report.witness is not None
+        assert apply_selector(constant_structure(3, ONE), report.witness) == h
+        assert report.witness.scale_sq == s0
 
     def test_irrational_scale_note(self):
         g = hermitian({(0, 1): ONE}, 2)
@@ -1329,3 +1339,72 @@ class TestAreEquivalent:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             are_equivalent(constant_structure(2, ONE), constant_structure(3, ONE))
+
+    def test_every_witness_reproduces_the_target(self):
+        """Seeded exact pairs (genutil.equivalence_pairs) and their approx
+        copies take in the pairs that once got a note or a refusal instead
+        of a witness: |delta|^2 that is no sum of two rational squares, and
+        approx |delta|^2 of 1e-18. Every equivalent pair gets a witness that
+        maps g onto h, with scale_sq^2 = m_h^2 / m_g^2, except the exact
+        two-vertex pairs whose |delta|^2 is irrational, which get the note.
+        Approx phases compare within eps absolutely, so the copy of an
+        inequivalent pair of tiny labels can pass them; its witness then
+        misses h, and it is refused as too close to the tolerance."""
+        sums_of_no_squares = tiny = 0
+        for g, h in genutil.equivalence_pairs(seed=24, count=60):
+            exact = are_equivalent(g, h)
+            for a, b in ((g, h), (genutil.approx_copy(g), genutil.approx_copy(h))):
+                try:
+                    report = exact if a is g else are_equivalent(a, b)
+                except InputError as exc:
+                    assert not exact.equivalent and "too close to the tolerance" in str(exc)
+                    continue
+                if not report.equivalent:
+                    continue
+                if report.witness is None:
+                    assert a.mode == EXACT and a.n == 2 and "irrational" in report.note
+                    continue
+                assert _reproduces(a, report.witness, b)
+                s0 = report.witness.scale_sq
+                ratio = b.common_modulus_squared() / a.common_modulus_squared()
+                if a.mode == EXACT:
+                    assert s0 * s0 == ratio
+                    odd = s0.numerator * s0.denominator
+                    sums_of_no_squares += (odd >> ((odd & -odd).bit_length() - 1)) % 4 == 3
+                else:
+                    assert s0 == pytest.approx(math.sqrt(ratio))
+                    tiny += s0 < 1e-17
+        assert sums_of_no_squares > 0 and tiny > 0
+
+    def test_builds_no_scalars(self, monkeypatch):
+        """The witness is built from the pairs, so an 8-vertex approx input
+        and its twist read no labels view: the parent built 157 scalars."""
+        approx = GaussianScalar.approx
+        g = c_representation(transitive_tournament(8), approx(0.6, 0.8))
+        h = apply_selector(g, Selector.constant(8, approx(0.6, -0.8), scale_sq=3.0))
+        built = []
+        init = GaussianScalar.__init__
+
+        def counting_init(self, re, im, mode):
+            built.append((re, im))
+            init(self, re, im, mode)
+
+        monkeypatch.setattr(GaussianScalar, "__init__", counting_init)
+        report = are_equivalent(g, h)
+        assert len(built) <= 2
+        assert report.equivalent and _reproduces(g, report.witness, h)
+
+
+def _reproduces(g, witness, h):
+    """Whether apply_selector(g, witness) == h, with approx labels compared
+    by the rule of _pairs_match, relative to their size, as _check_action
+    compares them: approx == is absolute within eps, and labels of modulus
+    1e10 round apart by more than that."""
+    acted = apply_selector(g, witness)
+    if g.mode == EXACT:
+        return acted == h
+    return all(
+        _pairs_match(p, q, APPROX)
+        for got, want in zip(_label_matrix(acted)[0], _label_matrix(h)[0])
+        for p, q in zip(got, want)
+    )

@@ -1,7 +1,7 @@
 """Tests for exact/approx Gaussian scalars and the rational helpers."""
 
 import ast
-import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +17,6 @@ from spectramono.errors import InputError, ModeMixError
 from spectramono.scalars import (
     APPROX,
     EXACT,
-    TWO_SQUARE_CANDIDATES,
-    TWO_SQUARE_TRIAL_BOUND,
     GaussianScalar,
     close,
     get_eps,
@@ -27,7 +25,6 @@ from spectramono.scalars import (
     rational,
     rational_sqrt,
     set_eps,
-    two_square_root,
 )
 
 
@@ -84,6 +81,31 @@ class TestRational:
         assert type(rational(" 10/4 ")) is backend
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="Python prints ints of any length"
+)
+class TestLongLiterals:
+    """Python prints no int of more than sys.get_int_max_str_digits()
+    digits, so a literal whose exponent takes its value past that is
+    refused, and one far past it is refused before it is built."""
+
+    def test_limit_is_exact(self):
+        limit = sys.get_int_max_str_digits()
+        assert len(str(rational(f"1e{limit - 1}"))) == limit
+        assert rational(f"0.01e{limit}") == 10 ** (limit - 2)
+        assert rational(f"5e-{limit}").denominator == 2 * 10 ** (limit - 1)
+        for text in (f"1e{limit}", f"1e-{limit}", f"12345e{limit - 3}", f" 1E+{limit} "):
+            with pytest.raises(InputError, match=f"past {limit} digits, Python's limit"):
+                rational(text)
+
+    def test_huge_exponents_are_refused_at_once(self):
+        start = time.perf_counter()
+        for text in ("1e1000000", "1e-1000000", "0.5e" + "9" * 5000):
+            with pytest.raises(InputError, match="sys.get_int_max_str_digits"):
+                rational(text)
+        assert time.perf_counter() - start < 0.05
+
+
 class TestRationalSqrt:
     def test_perfect_square(self):
         assert rational_sqrt("9/4") == rational("3/2")
@@ -95,82 +117,6 @@ class TestRationalSqrt:
 
     def test_negative(self):
         assert rational_sqrt(-4) is None
-
-
-class TestTwoSquareRoot:
-    def test_five(self):
-        u = two_square_root(5)
-        assert u is not None
-        assert u.modulus_squared() == rational(5)
-
-    def test_rational_target(self):
-        u = two_square_root("9/2")
-        assert u is not None
-        assert u.modulus_squared() == rational("9/2")
-
-    def test_unrepresentable(self):
-        # 3 = 3 mod 4 is not a sum of two integer squares
-        assert two_square_root(3) is None
-        assert two_square_root("1/3") is None
-
-    def test_nonpositive(self):
-        assert two_square_root(0) is None
-        assert two_square_root(-5) is None
-
-    def test_largest_a_first(self):
-        """The search stops at a >= b; the largest a is still the one found,
-        as when every a down to 0 was tried."""
-        for target in range(1, 400):
-            expected = None
-            for a in range(math.isqrt(target), -1, -1):
-                b = math.isqrt(target - a * a)
-                if a * a + b * b == target:
-                    expected = (a, b)
-                    break
-            u = two_square_root(target)
-            assert (None if u is None else (u.re, u.im)) == expected, target
-
-    def test_search_is_bounded(self):
-        """The search range grows with sqrt(p * r). It stops after
-        TWO_SQUARE_CANDIDATES values; a target answered within them is
-        answered however large, and one that is not is refused. The refused
-        and the fully searched targets are products of two primes 3 mod 4
-        above TWO_SQUARE_TRIAL_BOUND: no sum of two squares, but 1 mod 4
-        and without a small factor, so nothing decides them before the
-        search."""
-        top = 1 << 40
-        for target in (top**2 + 1, rational(top**2 + 9) / 4):
-            assert two_square_root(target).modulus_squared() == target
-        huge = 1000000000039 * 1000000000063
-        for q in (huge, rational(huge) / 5):
-            with pytest.raises(InputError, match="too large for the two-square search"):
-                two_square_root(q)
-        # just inside the bound the whole range is still searched
-        inside = 1480931 * 1480991
-        assert math.isqrt(inside) - math.isqrt((inside - 1) // 2) < TWO_SQUARE_CANDIDATES
-        assert two_square_root(inside) is None
-
-    def test_obstructions_answer_at_once(self):
-        """10^24 + 7 is 3 mod 4 and 3 * (10^24 + 7) has the single factor
-        3: neither is a sum of two squares, decided without a search."""
-        start = time.perf_counter()
-        for q in (10**24 + 7, rational(10**24 + 7) / 3):
-            assert two_square_root(q) is None
-        assert time.perf_counter() - start < 0.05
-
-    def test_trial_division_keeps_even_powers(self):
-        """Targets with even powers of primes 3 mod 4 and with prime factors
-        above TWO_SQUARE_TRIAL_BOUND (1009, 1013 and 1021 are 1 mod 4, 1019
-        and 1031 are 3 mod 4) are answered as the whole search answers."""
-        assert TWO_SQUARE_TRIAL_BOUND < 1009
-        big = [9 * 1009, 49 * 1013, 3**4 * 7**2 * 1021, 1019 * 1031, 9 * 1019 * 1031]
-        targets = list(range(10**6, 10**6 + 200)) + big
-        for target in targets:
-            representable = any(
-                math.isqrt(target - a * a) ** 2 == target - a * a
-                for a in range(math.isqrt(target) + 1)
-            )
-            assert (two_square_root(target) is not None) == representable, target
 
 
 class TestExactArithmetic:
