@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 
 from .combinat import colex_subsets
-from .core import HermitianStructure, _descaled, _finite, _label_matrix, _tuple_of, pair_product
+from .core import HermitianStructure, _descaled, _finite, _label_matrix, _require, _tuple_of, pair_product
 from .errors import InputError, InvariantError, ModeMixError
 from .scalars import APPROX, EXACT, GaussianScalar, _failed, close, negligible, real
 
@@ -415,8 +415,7 @@ def char_poly(g):
     every division is provably exact, and rescales; approx mode runs it on
     the float components of M.
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("char_poly takes a HermitianStructure")
+    _require(g, HermitianStructure, "char_poly")
     a, d = _label_matrix(g)
     return _polynomial(_recurrence(a, APPROX if d is None else EXACT)[0], d)
 
@@ -496,8 +495,7 @@ def determinant(g):
     Faddeev-LeVerrier route through P(0) = (-1)^n det M by _cross_checked,
     both on the matrix A of _label_matrix; det M = det A / D^n.
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("determinant takes a HermitianStructure")
+    _require(g, HermitianStructure, "determinant")
     a, d = _label_matrix(g)
     det = _cross_checked(a, range(g.n), g.mode)
     return GaussianScalar(_descaled(det, d, g.n), 0, g.mode)
@@ -533,8 +531,7 @@ def principal_minor_sum(g, p):
     deliberately does not consult char_poly, so the two routes stay
     independent checks of each other.
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("principal_minor_sum takes a HermitianStructure")
+    _require(g, HermitianStructure, "principal_minor_sum")
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
     a, d = _label_matrix(g)
@@ -544,6 +541,5 @@ def principal_minor_sum(g, p):
 
 def scaled_poly(poly, s):
     """Module-level spelling of RealPolynomial.scaled."""
-    if not isinstance(poly, RealPolynomial):
-        raise InputError("scaled_poly takes a RealPolynomial")
+    _require(poly, RealPolynomial, "scaled_poly")
     return poly.scaled(s)

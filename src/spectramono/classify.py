@@ -21,6 +21,7 @@ against the product at (1,2) directly, without dividing at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .core import (
@@ -31,11 +32,12 @@ from .core import (
     _descaled,
     _finite,
     _from_pairs,
+    _phase_products,
+    _require,
     _selector_from_pairs,
     common_modulus_squared_of_pairs,
     descending_score_order,
     is_transitive,
-    pair_product,
     substructure,  # noqa: F401 - not called here; bench/tracing.py rebinds it
 )
 from .charpoly import _cross_checked, _label_matrix
@@ -104,9 +106,10 @@ def reduce_to_canonical_labels(g):
 
     The work runs on the (re, im) pairs of _label_matrix. Exact mode takes
     the Gaussian-integer matrix A = D * M, whose common modulus squared msq
-    is D^2 times that of g, and never divides: the phase products of A are
-    D * msq times the rescaled phases, gamma among them. Approx mode works
-    on the float components and divides by msq up front. Structures are
+    is D^2 times that of g, and never divides: the phase products of A
+    (core._phase_products, walked once) are D * msq times the rescaled
+    phases, gamma among them. Approx mode works on the float components
+    and divides by msq up front. Structures are
     built only for the returned CanonicalReduction, from those pairs: the
     canonical structure by _from_pairs over D * msq, and the selector by
     _selector_from_pairs, in exact mode from msq^2 * d over msq^2; the one
@@ -114,8 +117,7 @@ def reduce_to_canonical_labels(g):
     re-applied to the canonical structure and checked against g by
     core._check_action, before the selector's own checks run.
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("reduce_to_canonical_labels takes a HermitianStructure")
+    _require(g, HermitianStructure, "reduce_to_canonical_labels")
     n = g.n
     if n < 5:
         raise InputError(f"canonical reduction needs n >= 5, got {n}")
@@ -133,39 +135,35 @@ def reduce_to_canonical_labels(g):
     else:
         lift, s, shown, q = 1.0, 1.0 / msq, None, None
 
-    phases = {}
-    for u in range(1, n):
-        for v in range(u + 1, n):
-            re, im = pair_product(m[0][u], m[u][v], m[0][v])
-            phases[u, v] = (re, im) if mode == EXACT else _finite((re * s, im * s), mode)
-    gamma = phases[1, 2]
+    products = _phase_products(m, 0, range(1, n))
+    phases = products if mode == EXACT else [_finite((re * s, im * s), mode) for re, im in products]
+    first = gamma = phases[0]
+    real = negligible(gamma[1], 0, mode)
+    if not real and gamma[1] < 0:
+        gamma = (gamma[0], -gamma[1])
     gamma_bar = (gamma[0], -gamma[1])
-    for (u, v), w in phases.items():
-        if not (_pairs_match(w, gamma, mode) or _pairs_match(w, gamma_bar, mode)):
+    # vertex 0 dominates everything, and u beats v when its phase equals
+    # gamma or gamma is real; a phase outside {gamma, gamma_bar}, named by
+    # the unswapped phase at (1,2) first, ends the reduction
+    rows = [((1 << n) - 1) & ~1] + [0] * (n - 1)
+    for (u, v), w in zip(combinations(range(1, n), 2), phases):
+        beats = _pairs_match(w, gamma, mode)
+        if not (beats or _pairs_match(w, gamma_bar, mode)):
             raise ReductionError(
                 "phase_outside_pair",
                 f"phase product at pair ({u},{v}) is "
                 f"{_scalar(w, shown, mode).to_text()}, outside "
-                f"{{{_scalar(gamma, shown, mode).to_text()}, "
-                f"{_scalar(gamma_bar, shown, mode).to_text()}}}",
+                f"{{{_scalar(first, shown, mode).to_text()}, "
+                f"{_scalar((first[0], -first[1]), shown, mode).to_text()}}}",
                 pair=(u, v),
             )
-
-    real = negligible(gamma[1], 0, mode)
-    if real and mode != EXACT:
-        # drop float noise so the constant canonical form is exactly symmetric
-        gamma = (gamma[0], 0.0)
-        gamma_bar = gamma
-    if not real and gamma[1] < 0:
-        gamma, gamma_bar = gamma_bar, gamma
-
-    # vertex 0 dominates everything; u beats v when its phase equals gamma
-    rows = [((1 << n) - 1) & ~1] + [0] * (n - 1)
-    for (u, v), w in phases.items():
-        if real or _pairs_match(w, gamma, mode):
+        if real or beats:
             rows[u] |= 1 << v
         else:
             rows[v] |= 1 << u
+    if real and mode != EXACT:
+        # drop float noise so the constant canonical form is exactly symmetric
+        gamma = gamma_bar = (gamma[0], 0.0)
 
     # gamma on the arcs of rows, gamma_bar against them, over shown; a real
     # gamma equals gamma_bar, so the structure is constant
@@ -370,8 +368,7 @@ def classify_k3(g):
     transitive: every 3-subset of an i-representation has characteristic
     polynomial x^3 - 3 m^2 x regardless of orientation.
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("classify_k3 takes a HermitianStructure")
+    _require(g, HermitianStructure, "classify_k3")
     if g.n < 5:
         raise TheoremRangeError(
             f"the k=3 characterization applies for n >= 5, got n={g.n}"
@@ -384,8 +381,7 @@ def classify_k4(g):
     escape hatch closes at k = 4: 4-subsets of an i-representation see the
     orientation through their determinants, so only the real-constant and
     transitive shapes remain."""
-    if not isinstance(g, HermitianStructure):
-        raise InputError("classify_k4 takes a HermitianStructure")
+    _require(g, HermitianStructure, "classify_k4")
     if g.n < 7:
         raise TheoremRangeError(
             f"the k=4 characterization applies for n >= 7, got n={g.n}"
@@ -396,8 +392,7 @@ def classify_k4(g):
 def classify_mid_k(g, k):
     """Classify k-spectral monomorphy for 4 <= k <= n - 4 (so n >= 8).
     Same dichotomy as k = 4: real constant or transitive c-representation."""
-    if not isinstance(g, HermitianStructure):
-        raise InputError("classify_mid_k takes a HermitianStructure")
+    _require(g, HermitianStructure, "classify_mid_k")
     if not isinstance(k, int) or isinstance(k, bool):
         raise InputError(f"k must be an int, got {k!r}")
     if g.n < 8 or not 4 <= k <= g.n - 4:
@@ -418,8 +413,7 @@ def classify_n_minus_3(g):
     delegates (n - 3 = 3 there, and no 5-vertex doubly regular tournament
     exists to refine it anyway).
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("classify_n_minus_3 takes a HermitianStructure")
+    _require(g, HermitianStructure, "classify_n_minus_3")
     n = g.n
     if n < 6:
         raise TheoremRangeError(
@@ -441,8 +435,7 @@ def c3_via_determinants(g, x1, x, y):
     according to whether {x, y, z} is a 3-cycle. Exact mode only; labels
     must be purely imaginary of one modulus.
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("c3_via_determinants takes a HermitianStructure")
+    _require(g, HermitianStructure, "c3_via_determinants")
     if g.mode != EXACT:
         raise InputError("c3_via_determinants requires exact mode")
     n = g.n

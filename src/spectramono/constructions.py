@@ -20,7 +20,7 @@ from .charpoly import (
     poly_x_squared_minus,
 )
 from .combinat import colex_subsets
-from .core import Tournament, _from_pairs, _tuple_of
+from .core import Tournament, _from_pairs, _require, _tuple_of
 from .errors import InputError, InvariantError
 from .scalars import EXACT
 
@@ -74,8 +74,7 @@ def _gram(a, b):
 
 def hat(t):
     """Extend t by a new vertex 0 dominating every original vertex."""
-    if not isinstance(t, Tournament):
-        raise InputError("hat takes a Tournament")
+    _require(t, Tournament, "hat")
     rows = [((1 << (t.n + 1)) - 1) & ~1]
     for r in t.rows:
         rows.append(r << 1)
@@ -84,8 +83,7 @@ def hat(t):
 
 def skew_adjacency(t):
     """A - A^T for the adjacency matrix A of the tournament."""
-    if not isinstance(t, Tournament):
-        raise InputError("skew_adjacency takes a Tournament")
+    _require(t, Tournament, "skew_adjacency")
     n = t.n
     entries = [
         [0 if x == y else (1 if t.dominates(x, y) else -1) for y in range(n)]
@@ -96,8 +94,7 @@ def skew_adjacency(t):
 
 def i_weighted(s):
     """Hermitian structure with label i*s[x][y]; s must be skew with zero diagonal."""
-    if not isinstance(s, SignMatrix):
-        raise InputError("i_weighted takes a SignMatrix")
+    _require(s, SignMatrix, "i_weighted")
     return _from_pairs(tuple(tuple((0, v) for v in row) for row in s.entries), 1, EXACT)
 
 
@@ -123,8 +120,7 @@ def validate_sign_matrix(m, kind):
 
     The report carries the first failing entry position as locus.
     """
-    if not isinstance(m, SignMatrix):
-        raise InputError("validate_sign_matrix takes a SignMatrix")
+    _require(m, SignMatrix, "validate_sign_matrix")
     if kind not in _SIGN_KINDS:
         raise InputError(f"kind must be one of {_SIGN_KINDS}, got {kind!r}")
     n = m.n
@@ -185,8 +181,7 @@ def validate_sign_matrix(m, kind):
 def pair_cycle_counts(t, x, y):
     """(C3, O3) for the pair {x, y}: how many third vertices z make {x, y, z}
     a 3-cycle versus a transitive triple. C3 + O3 = n - 2 always."""
-    if not isinstance(t, Tournament):
-        raise InputError("pair_cycle_counts takes a Tournament")
+    _require(t, Tournament, "pair_cycle_counts")
     if x == y:
         raise InputError(f"need two distinct vertices in range({t.n}), got {x}, {y}")
     # dominates checks that both are vertices
@@ -209,8 +204,7 @@ class DrtCertificate:
 def is_doubly_regular(t):
     """DrtCertificate when every pair of distinct vertices has exactly
     (n-3)/4 common dominators, None otherwise."""
-    if not isinstance(t, Tournament):
-        raise InputError("is_doubly_regular takes a Tournament")
+    _require(t, Tournament, "is_doubly_regular")
     n = t.n
     if n < 3:
         return None
@@ -244,8 +238,7 @@ def is_homogeneous(t):
     constant at zero and are not homogeneous. A homogeneous tournament
     must have exactly 4k - 1 vertices, which is asserted, not reported.
     """
-    if not isinstance(t, Tournament):
-        raise InputError("is_homogeneous takes a Tournament")
+    _require(t, Tournament, "is_homogeneous")
     n = t.n
     if n < 3:
         return HomogeneityReport(homogeneous=False, k=0)
@@ -305,8 +298,7 @@ def paley_tournament(q):
 def skew_hadamard_from_drt(t):
     """H = A - A^T + I built over hat(t); valid exactly when t is doubly
     regular, which is certified first."""
-    if not isinstance(t, Tournament):
-        raise InputError("skew_hadamard_from_drt takes a Tournament")
+    _require(t, Tournament, "skew_hadamard_from_drt")
     cert = is_doubly_regular(t)
     if cert is None:
         raise InputError(

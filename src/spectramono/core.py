@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Optional
 
 from .errors import (
@@ -66,6 +66,13 @@ def _sorted_vertices(n, vertices, what):
     return sorted(set(vs))
 
 
+def _require(value, kind, caller):
+    """Raise InputError("<caller> takes a <kind>") unless value is an
+    instance of the class kind: the argument check of the entry points."""
+    if not isinstance(value, kind):
+        raise InputError(f"{caller} takes a {kind.__name__}")
+
+
 def _check_order(n):
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"a tournament needs at least one vertex, got {n!r}")
@@ -85,8 +92,9 @@ class HermitianStructure:
     labels, the GaussianScalars, is a view of the pairs (see _scalars_of),
     built on its first read and kept, whichever route built the structure.
     Exact equality and hashing read the pairs, since (A, D) is canonical
-    (_from_pairs); approx structures compare their labels, each component
-    within eps, and do not hash.
+    (_from_pairs). Approx structures compare their pairs by the rule of
+    _pairs_match, relative to the largest component, as _check_action
+    does, and do not hash.
     """
 
     __slots__ = ("n", "mode", "_matrix", "_labels")
@@ -139,7 +147,11 @@ class HermitianStructure:
             return False
         if self.mode == EXACT:
             return self._matrix == other._matrix
-        return self.labels == other.labels
+        return all(
+            _pairs_match(p, q, APPROX)
+            for row, other_row in zip(self._matrix[0], other._matrix[0])
+            for p, q in zip(row, other_row)
+        )
 
     def __hash__(self):
         # the approx labels raise the TypeError of GaussianScalar
@@ -312,6 +324,18 @@ def pair_product(a, b, c):
     return re * cr + im * ci, im * cr - re * ci
 
 
+def _phase_products(a, w, rest):
+    """The phase products a(w, u) a(u, v) conj(a(w, v)) of the pair matrix
+    a at base vertex w, for each pair (u, v) of rest with u before v, in
+    combinations(rest, 2) order, as (re, im) pairs (see pair_product). A
+    selector twist d multiplies each by |d(w)|^2 |d(u)|^2 |d(v)|^2, so
+    normalize_at, are_equivalent, the canonical reduction and the gauge
+    class memo of the enumeration all read a structure's class from them.
+    Approx products are not checked to be finite here."""
+    row = a[w]
+    return [pair_product(row[u], a[u][v], row[v]) for u, v in combinations(rest, 2)]
+
+
 def constant_structure(n, value):
     """Structure whose every off-diagonal label is the real scalar `value`."""
     if not isinstance(value, GaussianScalar):
@@ -476,16 +500,14 @@ def is_transitive(t):
     A tournament is transitive exactly when its out-degrees are pairwise
     distinct, in which case they are a permutation of 0..n-1.
     """
-    if not isinstance(t, Tournament):
-        raise InputError("is_transitive takes a Tournament")
+    _require(t, Tournament, "is_transitive")
     degrees = [t.out_degree(i) for i in range(t.n)]
     return len(set(degrees)) == t.n
 
 
 def first_three_cycle(t):
     """Lexicographically least (a, b, c) with a -> b -> c -> a, or None."""
-    if not isinstance(t, Tournament):
-        raise InputError("first_three_cycle takes a Tournament")
+    _require(t, Tournament, "first_three_cycle")
     for a in range(t.n):
         for b in range(t.n):
             if not t.rows[a] >> b & 1:
@@ -499,8 +521,7 @@ def first_three_cycle(t):
 
 def descending_score_order(t):
     """Vertices sorted by out-degree descending, index ascending on ties."""
-    if not isinstance(t, Tournament):
-        raise InputError("descending_score_order takes a Tournament")
+    _require(t, Tournament, "descending_score_order")
     return tuple(sorted(range(t.n), key=lambda v: (-t.out_degree(v), v)))
 
 
@@ -652,8 +673,7 @@ def _selector_from_pairs(pairs, q, mode, scale_sq=1):
 def substructure(g, vertices):
     """Restriction of g to the given vertices, sorted ascending: the pair
     matrix of g, sliced."""
-    if not isinstance(g, HermitianStructure):
-        raise InputError("substructure takes a HermitianStructure")
+    _require(g, HermitianStructure, "substructure")
     vs = _sorted_vertices(g.n, vertices, "substructure")
     a, d = _label_matrix(g)
     return _from_pairs(tuple(tuple(a[x][y] for y in vs) for x in vs), d, g.mode)
@@ -747,8 +767,7 @@ def c_representation(t, c):
     structure; that degenerate case is accepted but flagged with
     ConstantRepresentationWarning since it forgets the tournament.
     """
-    if not isinstance(t, Tournament):
-        raise InputError("c_representation takes a Tournament")
+    _require(t, Tournament, "c_representation")
     if not isinstance(c, GaussianScalar):
         raise InputError("label must be a GaussianScalar")
     if not negligible(c.modulus_squared() - 1, 0, c.mode):
@@ -807,8 +826,7 @@ def normalize_at(g, w):
     The selector is then re-applied to g by _check_action, the check the
     canonical reduction and are_equivalent share, against the normal form.
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("normalize_at takes a HermitianStructure")
+    _require(g, HermitianStructure, "normalize_at")
     _check_vertex(g.n, w)
     if g.n < 2:
         raise InputError("normalization needs at least two vertices")
@@ -828,21 +846,17 @@ def normalize_at(g, w):
         m = math.sqrt(msq)
         lift, s, s3, scale_sq = 1.0, 1 / m, 1 / (msq * m), 1 / m
         zero, q, q3 = 0.0, None, None
-    # selector pairs are lift times their values, label pairs lift^3 times
+    # selector pairs are lift times their values, label pairs lift^3 times;
+    # others before and after its reversal give the pairs above and below
+    # the diagonal
     one, row = (lift**3, zero), a[w]
-    rows = []
-    for u in range(g.n):
-        out = []
-        for v in range(g.n):
-            if u == v:
-                out.append((zero, zero))
-            elif u == w or v == w:
-                out.append(one)
-            else:
-                re, im = _finite(pair_product(row[u], a[u][v], row[v]), mode)
-                out.append((re * s3, im * s3))
-        rows.append(tuple(out))
-    normalized = _from_pairs(tuple(rows), q3, mode)
+    rows = [[(zero, zero) if u == v else one for v in range(g.n)] for u in range(g.n)]
+    others = [x for x in range(g.n) if x != w]
+    for rest in (others, others[::-1]):
+        for (u, v), pair in zip(combinations(rest, 2), _phase_products(a, w, rest)):
+            re, im = _finite(pair, mode)
+            rows[u][v] = (re * s3, im * s3)
+    normalized = _from_pairs(tuple(map(tuple, rows)), q3, mode)
     values = [(lift, zero) if x == w else (re * s, im * s) for x, (re, im) in enumerate(row)]
     selector = _selector_from_pairs(values, q, mode, scale_sq)
     failed = "normalizing selector failed to reproduce the normal form"
@@ -905,15 +919,18 @@ def are_equivalent(g, h):
             return EquivalenceReport(False, reason=f"{side} structure: {exc}")
     msq_a, msq_b = msq
     # exact mode drops the positive factors D^-3 of _label_matrix, which
-    # change neither the sign nor the realness of p * conj(q); pair_product
-    # forms a * conj(b) with (1, 0) as its middle factor
-    for u in range(1, g.n):
-        for v in range(u + 1, g.n):
-            p = _finite(pair_product(a[0][u], a[u][v], a[0][v]), mode)
-            q = _finite(pair_product(b[0][u], b[u][v], b[0][v]), mode)
-            re, im = _finite(pair_product(p, (1, 0), q), mode)
-            if not (negligible(im, re, mode) and re > 0):
-                return EquivalenceReport(False, reason=f"normalized forms differ at pair ({u},{v})")
+    # change neither the sign nor the realness of p * conj(q); approx mode
+    # divides p * conj(q) by m_g^3 m_h^3 once it is formed and found
+    # finite, so its phase is tested relative to its size. pair_product
+    # forms p * conj(q) with (1, 0) as its middle factor
+    unit = 1 if mode == EXACT else 1 / (msq_a * msq_b * math.sqrt(msq_a * msq_b))
+    rest = range(1, g.n)
+    phases = zip(combinations(rest, 2), _phase_products(a, 0, rest), _phase_products(b, 0, rest))
+    for (u, v), p, q in phases:
+        re, im = _finite(pair_product(_finite(p, mode), (1, 0), _finite(q, mode)), mode)
+        re, im = re * unit, im * unit
+        if not (negligible(im, re, mode) and re > 0):
+            return EquivalenceReport(False, reason=f"normalized forms differ at pair ({u},{v})")
     # Phases agree, so the structures are equivalent over the complex
     # numbers; the witness is exact when s0 is.
     if mode == EXACT:

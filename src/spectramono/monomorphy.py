@@ -33,7 +33,8 @@ from .charpoly import (
     char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
 )
 from .combinat import colex_subsets
-from .core import HermitianStructure, _descaled, pair_product, substructure  # noqa: F401 - as char_poly
+from .core import HermitianStructure, _descaled, _phase_products, _require
+from .core import substructure  # noqa: F401 - as char_poly
 from .errors import InputError
 from .scalars import APPROX, EXACT, GaussianScalar, _compare_polys, close, rational
 
@@ -45,7 +46,10 @@ class MonomorphyReport:
     witness, present exactly when monomorphic is False, is the pair
     (reference subset, first differing subset) in colex order, with the two
     characteristic polynomials alongside. fragile is only ever True in
-    approx mode, flagging a comparison that nearly flipped.
+    approx mode; it is meant to flag a comparison that nearly flipped, but
+    the leading coefficients of two monic polynomials always sit that
+    close to the tolerance, so it is True whenever two subsets are
+    compared.
     """
 
     k: int
@@ -70,8 +74,7 @@ def is_k_spectrally_monomorphic(g, k):
     through Jacobi's complementary minors (see
     charpoly._first_deletion_miss).
     """
-    if not isinstance(g, HermitianStructure):
-        raise InputError("is_k_spectrally_monomorphic takes a HermitianStructure")
+    _require(g, HermitianStructure, "is_k_spectrally_monomorphic")
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= g.n:
         raise InputError(f"subset size must satisfy 1 <= k <= {g.n}, got {k!r}")
     m, d = _label_matrix(g)
@@ -93,21 +96,17 @@ def _class_key(m, subset):
     """The gauge class of the slice A[S] of S = subset, or None when
     a(s, u) = 0 for some u in S, s = subset[0]: the norms |a(s, u)|^2 of
     the u after s, in subset order, then the phase products
-    W_s(u, v) = a(s, u) a(u, v) conj(a(s, v)) for u < v after s. With
-    E = diag(1, a(s, u), ...), E A[S] E^-1 has row s all ones, column s
-    the norms and entry (u, v) equal to W_s(u, v) / |a(s, v)|^2, so two
-    slices with one key are similar and share their polynomial."""
-    rest = subset[1:]
-    row = m[subset[0]]
+    W_s(u, v) = a(s, u) a(u, v) conj(a(s, v)) for u < v after s, of
+    core._phase_products. With E = diag(1, a(s, u), ...), E A[S] E^-1 has
+    row s all ones, column s the norms and entry (u, v) equal to
+    W_s(u, v) / |a(s, v)|^2, so two slices with one key are similar and
+    share their polynomial."""
+    s, rest = subset[0], subset[1:]
+    row = m[s]
     lead = [row[u] for u in rest]
     if (0, 0) in lead:
         return None
-    key = [re * re + im * im for re, im in lead]
-    for i, u in enumerate(rest, 1):
-        mu = m[u]
-        su = lead[i - 1]
-        key += [pair_product(su, mu[v], sv) for v, sv in zip(rest[i:], lead[i:])]
-    return tuple(key)
+    return tuple([re * re + im * im for re, im in lead] + _phase_products(m, s, rest))
 
 
 def _enumerate(m, d, k, adjugates):
@@ -139,7 +138,7 @@ def _enumerate(m, d, k, adjugates):
     any comparison nearly flipped. It takes no memo: float keys would
     equate -0.0 with 0.0, whose polynomials print differently.
 
-    In exact mode with k >= 4, n - k <= 3 and 2k > n, the subsets after
+    In exact mode with k >= 4 and n - k <= 3 (so 2k > n), the subsets after
     the first _direct_count(n, k) are checked against the reference's
     coefficients by _first_deletion_miss, through Jacobi's complementary
     minors and with the recurrence as its cross-check. adjugates() gives
@@ -149,7 +148,7 @@ def _enumerate(m, d, k, adjugates):
     they and common_poly become RealPolynomials.
     """
     n = len(m)
-    jacobi = d is not None and k >= 4 and n - k <= 3 and 2 * k > n
+    jacobi = d is not None and k >= 4 and n - k <= 3
     memo = {}
     classes = {}
     reference = None
@@ -214,8 +213,7 @@ def monomorphy_profile(g):
     """MonomorphyReport for every k in 1..n. The label matrix is built once,
     and the adjugates of the Jacobi route once, on first need, at the n - 1
     points the largest such k asks for."""
-    if not isinstance(g, HermitianStructure):
-        raise InputError("monomorphy_profile takes a HermitianStructure")
+    _require(g, HermitianStructure, "monomorphy_profile")
     m, d = _label_matrix(g)
     adjugates = cache(lambda: _adjugates(m, g.n - 1))
     return {k: _enumerate(m, d, k, adjugates) for k in range(1, g.n + 1)}
@@ -235,8 +233,7 @@ def det_constancy(g, p):
     """Check that all p x p principal minors of g agree, in colex order.
     Exact mode compares the integer minors of the A of _label_matrix, which
     are D^p times those of M, and divides only the values it reports."""
-    if not isinstance(g, HermitianStructure):
-        raise InputError("det_constancy takes a HermitianStructure")
+    _require(g, HermitianStructure, "det_constancy")
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= g.n:
         raise InputError(f"minor order must satisfy 1 <= p <= {g.n}, got {p!r}")
     a, d = _label_matrix(g)

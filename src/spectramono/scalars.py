@@ -188,8 +188,6 @@ def rational(value):
             f"bad rational literal {value!r}: its exponent takes it past {limit} digits, "
             "Python's limit for printing an int (sys.get_int_max_str_digits())"
         )
-    if isinstance(value, _RAT_TYPE):
-        return value
     raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -69,6 +69,15 @@ class TestRealPolynomial:
         with pytest.raises(InputError):
             RealPolynomial([], EXACT)
 
+    def test_hashing(self):
+        """Exact polynomials hash by their trimmed coefficients; approx
+        ones compare within eps and refuse to hash."""
+        p = exact_poly(rational("1/2"), 0, 1)
+        assert hash(p) == hash(RealPolynomial(["2/4", 0, 1, 0], EXACT))
+        assert len({p, exact_poly("1/2", 0, 1), exact_poly(1)}) == 2
+        with pytest.raises(TypeError, match="cannot hash"):
+            hash(RealPolynomial([0.5, 0.0, 1.0], APPROX))
+
     def test_display(self):
         p = exact_poly(0, 21, 0, -10, 0, 1)
         assert p.to_display() == "x^5-10x^3+21x"

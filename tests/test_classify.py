@@ -553,7 +553,7 @@ class TestIntegerKernels:
             Selector.constant(8, GaussianScalar.exact("1/3")),
         )
         seen = []
-        self._spy(monkeypatch, classify, "pair_product", seen)
+        # the reduction forms its phase products through core.pair_product
         self._spy(monkeypatch, core, "pair_product", seen)
         self._spy(monkeypatch, charpoly, "_det", seen)
         self._spy(monkeypatch, monomorphy, "_recurrence", seen)

@@ -830,6 +830,23 @@ class TestSelector:
             normalize_at(g, r.randrange(g.n))
         assert calls == []
 
+    def test_equality_and_hashing_read_the_values(self):
+        """Exact selectors of equal values and scale_sq compare and hash
+        equal whatever pairs they keep: normalize_at keeps these values
+        over D * m = 10, where Selector clears them over 5. A different
+        scale_sq compares unequal, and the other mode raises."""
+        g = apply_selector(
+            c_representation(transitive_tournament(4), UNIT_C),
+            Selector.constant(4, ONE, scale_sq=2),
+        )
+        _, normalizing = normalize_at(g, 0)
+        built = Selector([ONE, UNIT_C, UNIT_C, UNIT_C], "1/2")
+        assert normalizing._pairs != built._pairs
+        assert normalizing == built and hash(normalizing) == hash(built)
+        assert normalizing != Selector([ONE, UNIT_C, UNIT_C, UNIT_C], "1/3")
+        with pytest.raises(ModeMixError, match="selectors of different modes"):
+            normalizing == Selector.ones(4, APPROX)
+
     def test_rejects_zero_value(self):
         with pytest.raises(InvariantError):
             Selector([ONE, GaussianScalar.zero()])
@@ -1152,18 +1169,24 @@ class TestJitteredApproxNormalization:
                         messages.add(str(exc).split(": ")[1].split(" by ")[0])
                         continue
                     assert report.equivalent or "different moduli" in report.reason
+        # a c-representation with every label jittered within 3e-10: its
+        # phase products agree with the unjittered copy's within eps, but
+        # the witness built from row 0 misses a label by more than eps
+        ((g, h),) = genutil.jittered_c_representations(count=1, seed=20, n=5)
+        with pytest.raises(InputError, match="too close to the tolerance") as raised:
+            are_equivalent(h, genutil.approx_copy(g))
+        messages.add(str(raised.value).split(": ")[1].split(" by ")[0])
         # labels of modulus 1/2 with the phase of (1,2) turned by 6e-8: each
-        # p * conj(q) of two phase products has modulus 1/64, so its
-        # imaginary part stays under eps and the phase test passes, but
-        # the witness misses that label by 3e-8
+        # p * conj(q) of two phase products has modulus 1/64, and its phase
+        # is tested relative to that size, so the turn is seen
         c = c_representation(transitive_tournament(5), GaussianScalar.approx(0.6, 0.8))
         g = apply_selector(c, Selector.constant(5, GaussianScalar.approx(1.0), scale_sq=0.5))
         rows = [list(row) for row in g.labels]
         rows[1][2] = rows[1][2] * GaussianScalar.approx(math.cos(6e-8), math.sin(6e-8))
         rows[2][1] = rows[1][2].conj()
-        with pytest.raises(InputError, match="too close to the tolerance") as raised:
-            are_equivalent(g, HermitianStructure(rows))
-        messages.add(str(raised.value).split(": ")[1].split(" by ")[0])
+        report = are_equivalent(g, HermitianStructure(rows))
+        assert not report.equivalent
+        assert report.reason == "normalized forms differ at pair (1,2)"
         assert messages == {
             "the selector values differ in modulus",
             "the equivalence witness misses the target",
@@ -1204,6 +1227,18 @@ class TestAreEquivalent:
         assert normalize_at(h, 0)[0] == normalize_at(g, 0)[0]
         assert classify.reduce_to_canonical_labels(h).tournament == transitive_tournament(6)
 
+    def test_phases_of_tiny_labels_are_compared_relative_to_their_size(self):
+        """Three vertices whose labels have |label|^2 6.25e-14 against 69.4
+        and differ in the phase at (1,2): each p * conj(q) is below eps in
+        absolute terms, so an absolute test let the phases pass and the
+        witness then missed the target. Relative to m_g^3 m_h^3 the pair
+        gets the exact copy's reason."""
+        g, h = genutil.equivalence_pairs(seed=24, count=60)[35]
+        assert g.n == 3 and not are_equivalent(g, h).equivalent
+        report = are_equivalent(genutil.approx_copy(g), genutil.approx_copy(h))
+        assert not report.equivalent
+        assert report.reason == "normalized forms differ at pair (1,2)"
+
     def test_witness_within_eps_of_zero_is_refused(self):
         """Labels of modulus 1e10 against 1e-8 once needed witness values of
         modulus about 1e-9, which approx mode counts as zero, so the witness
@@ -1218,9 +1253,22 @@ class TestAreEquivalent:
             assert report.equivalent and report.witness is not None
             assert _reproduces(source, report.witness, target)
             assert report.witness.scale_sq == pytest.approx(s0)
-        # labels of modulus 1e10 round apart by more than eps, which
-        # approx == reads absolutely, so only this direction meets it
+        # labels of modulus 1e10 round apart by more than eps; approx ==
+        # reads them relative to their size, so both directions meet it
         assert apply_selector(g, are_equivalent(g, h).witness) == h
+        assert apply_selector(h, are_equivalent(h, g).witness) == g
+
+    def test_approx_equality_is_relative_to_the_labels(self):
+        """A witness that passes _check_action gives a structure equal to
+        the target: approx == compares the pairs by the same relative rule.
+        The acted label 8000000000.000001 against 8000000000.0 once made
+        them unequal."""
+        approx = GaussianScalar.approx
+        c = c_representation(transitive_tournament(5), approx(0.6, 0.8))
+        values = [approx(3.0, 4.0), approx(4.0, -3.0), approx(3.0, 4.0), approx(-3.0, 4.0), approx(5.0)]
+        h = apply_selector(c, Selector(values, 1e-8))
+        g = apply_selector(c, Selector(values, 1e10))
+        assert apply_selector(h, are_equivalent(h, g).witness) == g
 
     def test_reflexive(self):
         g = i_representation(THREE_CYCLE)
@@ -1347,18 +1395,14 @@ class TestAreEquivalent:
         approx |delta|^2 of 1e-18. Every equivalent pair gets a witness that
         maps g onto h, with scale_sq^2 = m_h^2 / m_g^2, except the exact
         two-vertex pairs whose |delta|^2 is irrational, which get the note.
-        Approx phases compare within eps absolutely, so the copy of an
-        inequivalent pair of tiny labels can pass them; its witness then
-        misses h, and it is refused as too close to the tolerance."""
+        Approx phases compare relative to their size, so every approx copy
+        gets the exact pair's verdict and reason, tiny labels included."""
         sums_of_no_squares = tiny = 0
         for g, h in genutil.equivalence_pairs(seed=24, count=60):
             exact = are_equivalent(g, h)
             for a, b in ((g, h), (genutil.approx_copy(g), genutil.approx_copy(h))):
-                try:
-                    report = exact if a is g else are_equivalent(a, b)
-                except InputError as exc:
-                    assert not exact.equivalent and "too close to the tolerance" in str(exc)
-                    continue
+                report = exact if a is g else are_equivalent(a, b)
+                assert (report.equivalent, report.reason) == (exact.equivalent, exact.reason)
                 if not report.equivalent:
                     continue
                 if report.witness is None:

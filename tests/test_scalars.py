@@ -57,6 +57,11 @@ class TestRational:
         with pytest.raises(InputError):
             rational(True)
 
+    def test_rejects_other_types(self):
+        for bad in (1j, None, [1]):
+            with pytest.raises(InputError, match="cannot interpret .* as an exact rational"):
+                rational(bad)
+
     def test_rejects_zero_denominator(self):
         with pytest.raises(InputError):
             rational("1/0")
@@ -148,6 +153,16 @@ class TestExactArithmetic:
 
     def test_hashable(self):
         assert len({exact(1, 2), exact(1, 2), exact(2, 1)}) == 2
+
+    def test_sum_and_difference(self):
+        assert exact("1/2", 2) + exact(3, "-4/3") == exact("7/2", "2/3")
+        assert exact("1/2", 2) - exact(3, "-4/3") == exact("-5/2", "10/3")
+        z = GaussianScalar.approx(0.5, 1.0) - GaussianScalar.approx(0.25, -2.0)
+        assert (z.re, z.im, z.mode) == (0.25, 3.0, APPROX)
+        z = GaussianScalar.approx(0.5, 1.0) + GaussianScalar.approx(0.25, -2.0)
+        assert (z.re, z.im, z.mode) == (0.75, -1.0, APPROX)
+        with pytest.raises(ModeMixError):
+            exact(1) - GaussianScalar.approx(1.0)
 
 
 @seed(20240811)
