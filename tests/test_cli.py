@@ -693,6 +693,15 @@ def _jittered(seed, n):
     return genutil.jittered_c_representations(count=1, seed=seed, n=n)[0][1]
 
 
+def _flipped_skew_hadamard():
+    """The skew Hadamard matrix of order 8 from Paley-7 with the pair (2,5)
+    negated both ways: still skew, but no longer Hadamard, so validation
+    fails at a Gram entry and reports it as the locus."""
+    rows = [list(row) for row in skew_hadamard_from_drt(paley_tournament(7)).entries]
+    rows[2][5], rows[5][2] = -rows[2][5], -rows[5][2]
+    return SignMatrix(rows)
+
+
 class TestGoldenBytes:
     """Reports pinned byte for byte. Spectra at orders 8 and 12 and
     check --all-k on the i-representations of hat(Paley-7) and hat(Paley-11)
@@ -703,11 +712,15 @@ class TestGoldenBytes:
     rounding of the recurrence that formed every entry of each power. The
     all-k report on a scaled, twisted c-representation with a zero label
     holds the bytes of the enumeration that keyed its memo on raw slices
-    only."""
+    only. The validate, convert, construct, brute-force classify and error
+    reports pin the report kinds that the cases above leave out."""
 
     def _out(self, tmp_path, capsys, name, value, *argv):
-        path = write_doc(tmp_path, name + ".in.json", value)
-        code = main([argv[0], "--input", path, *argv[1:]])
+        if value is None:
+            code = main(list(argv))
+        else:
+            path = write_doc(tmp_path, name + ".in.json", value)
+            code = main([argv[0], "--input", path, *argv[1:]])
         return code, capsys.readouterr().out
 
     @pytest.mark.parametrize("q", [7, 11])
@@ -769,6 +782,54 @@ class TestGoldenBytes:
                 _twisted_scaled_c_rep_zero_label,
                 ("check", "--all-k"),
                 1,
+            ),
+            (
+                "validate_skew_conference_order8",
+                lambda: minus_identity(skew_hadamard_from_drt(paley_tournament(7))),
+                ("validate", "--kind", "skew_conference"),
+                0,
+            ),
+            (
+                "validate_skew_hadamard_flipped_pair",
+                _flipped_skew_hadamard,
+                ("validate", "--kind", "skew_hadamard"),
+                1,
+            ),
+            (
+                "convert_drt_to_hadamard_paley7",
+                lambda: paley_tournament(7),
+                ("convert", "drt-to-hadamard"),
+                0,
+            ),
+            (
+                "convert_hadamard_to_drt_order12",
+                lambda: skew_hadamard_from_drt(paley_tournament(11)),
+                ("convert", "hadamard-to-drt"),
+                0,
+            ),
+            (
+                "construct_paley7_hat_i_rep",
+                lambda: None,
+                ("construct", "paley", "--q", "7", "--hat", "--rep", "i"),
+                0,
+            ),
+            (
+                "classify_k2_force_brute_zero_label",
+                _twisted_scaled_c_rep_zero_label,
+                ("classify", "--k", "2", "--force-brute"),
+                1,
+            ),
+            (
+                "classify_k2_theorem_range",
+                _twisted_scaled_c_rep_zero_label,
+                ("classify", "--k", "2"),
+                3,
+            ),
+            (
+                "check_without_k_input_error",
+                lambda: i_representation(hat(paley_tournament(7))),
+                ("check",),
+                2,
             ),
         ],
     )
