@@ -21,7 +21,9 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
+from .charpoly import RealPolynomial
 from .classify import (
     CRepTransitive,
     IRepDominatedNonTransitive,
@@ -35,6 +37,7 @@ from .classify import (
     c3_via_determinants,
 )
 from .constructions import (
+    SignMatrix,
     drt_from_skew_hadamard,
     hat,
     paley_tournament,
@@ -43,7 +46,7 @@ from .constructions import (
     validate_sign_matrix,
     verify_deletion_spectra,
 )
-from .core import Tournament, c_representation
+from .core import HermitianStructure, Selector, Tournament, c_representation
 from .documents import document_dict, parse_document, render_json
 from .errors import InputError, InvariantError, SpectramonoError, TheoremRangeError
 from .monomorphy import is_k_spectrally_monomorphic, monomorphy_profile
@@ -55,55 +58,42 @@ EXIT_INPUT = 2
 EXIT_RANGE = 3
 
 
-def _poly_dict(poly):
-    if poly is None:
-        return None
-    return {
-        "display": poly.to_display(),
-        "coefficients": poly.coefficient_strings(),
-    }
+_VARIANT_NAMES = {
+    RealConstant: "real_constant",
+    CRepTransitive: "c_rep_transitive",
+    IRepDominatedNonTransitive: "i_rep_dominated_non_transitive",
+    IRepDRTHat: "i_rep_drt_hat",
+    NotMonomorphic: "not_monomorphic",
+}
 
 
-def _subset_list(subset):
-    return None if subset is None else list(subset)
-
-
-def _selector_dict(selector):
-    if selector is None:
-        return None
-    scale = selector.scale_sq
-    return {
-        "values": [v.to_text() for v in selector.values],
-        "scale_sq": str(scale) if selector.mode == EXACT else scale,
-    }
-
-
-def _witness_fields(result):
-    """The "witness" and "witness_polys" entries of a MonomorphyReport or a
-    NotMonomorphic verdict."""
-    return {
-        "witness": (
-            None
-            if result.witness is None
-            else [_subset_list(s) for s in result.witness]
-        ),
-        "witness_polys": (
-            None
-            if result.witness_polys is None
-            else [_poly_dict(p) for p in result.witness_polys]
-        ),
-    }
-
-
-def _monomorphy_dict(report):
-    return {
-        "k": report.k,
-        "monomorphic": report.monomorphic,
-        "common_poly": _poly_dict(report.common_poly),
-        **_witness_fields(report),
-        "subsets_checked": report.subsets_checked,
-        "fragile": report.fragile,
-    }
+def _jsonable(value):
+    """value in the form a report prints it. A dataclass (every library
+    result) becomes the dict of its fields, each converted in turn, so a
+    report key is a field name. Lists and tuples become lists; polynomials,
+    scalars and selectors take their report forms; structures, tournaments
+    and sign matrices become documents. Any other value is returned as it
+    is."""
+    # most values of a report are these leaves; they skip the tests below
+    if value is None or isinstance(value, (int, str, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, RealPolynomial):
+        return {"display": value.to_display(), "coefficients": value.coefficient_strings()}
+    if isinstance(value, GaussianScalar):
+        return value.to_text()
+    if isinstance(value, Selector):
+        scale = value.scale_sq
+        return {
+            "values": _jsonable(value.values),
+            "scale_sq": str(scale) if value.mode == EXACT else scale,
+        }
+    if isinstance(value, (HermitianStructure, Tournament, SignMatrix)):
+        return document_dict(value)
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def _load(path, want_kind=None):
@@ -134,7 +124,7 @@ def _cmd_check(args):
             "command": "check",
             "n": g.n,
             "mode": g.mode,
-            "all_k": {str(k): _monomorphy_dict(r) for k, r in profile.items()},
+            "all_k": {str(k): _jsonable(r) for k, r in profile.items()},
         }
         ok = all(r.monomorphic for r in profile.values())
         return report, EXIT_TRUE if ok else EXIT_FALSE
@@ -145,39 +135,9 @@ def _cmd_check(args):
         "command": "check",
         "n": g.n,
         "mode": g.mode,
-        "result": _monomorphy_dict(rep),
+        "result": _jsonable(rep),
     }
     return report, EXIT_TRUE if rep.monomorphic else EXIT_FALSE
-
-
-def _variant_dict(variant):
-    if isinstance(variant, RealConstant):
-        return "real_constant", {"value": variant.value.to_text()}
-    if isinstance(variant, CRepTransitive):
-        return "c_rep_transitive", {
-            "label": variant.label.to_text(),
-            "order": list(variant.order),
-        }
-    if isinstance(variant, IRepDominatedNonTransitive):
-        return "i_rep_dominated_non_transitive", {
-            "label": variant.label.to_text(),
-            "tournament": document_dict(variant.tournament),
-        }
-    if isinstance(variant, IRepDRTHat):
-        return "i_rep_drt_hat", {
-            "tournament": document_dict(variant.tournament),
-            "certificate": {
-                "n": variant.certificate.n,
-                "t": variant.certificate.t,
-            },
-        }
-    if isinstance(variant, NotMonomorphic):
-        return "not_monomorphic", {
-            "reason": variant.reason,
-            "pair": _subset_list(variant.pair),
-            **_witness_fields(variant),
-        }
-    raise InputError(f"unknown classification variant {variant!r}")
 
 
 def _dispatch_classify(g, k):
@@ -216,23 +176,12 @@ def _cmd_classify(args):
             "mode": g.mode,
             "variant": "brute_force",
             "monomorphic": rep.monomorphic,
-            "details": _monomorphy_dict(rep),
+            "details": _jsonable(rep),
         }
         return report, EXIT_TRUE if rep.monomorphic else EXIT_FALSE
-    name, details = _variant_dict(result.variant)
-    report = {
-        "command": "classify",
-        "n": g.n,
-        "k": result.k,
-        "mode": g.mode,
-        "variant": name,
-        "monomorphic": result.monomorphic,
-        "details": details,
-        "canonical": (
-            None if result.canonical is None else document_dict(result.canonical)
-        ),
-        "witness_selector": _selector_dict(result.witness_selector),
-    }
+    report = {"command": "classify", "n": g.n, "mode": g.mode, **_jsonable(result)}
+    report["details"] = report["variant"]
+    report["variant"] = _VARIANT_NAMES[type(result.variant)]
     return report, EXIT_TRUE if result.monomorphic else EXIT_FALSE
 
 
@@ -269,38 +218,16 @@ def _cmd_construct(args):
 
 def _cmd_validate(args):
     doc = _load(args.input, "sign_matrix")
-    report_obj = validate_sign_matrix(doc.value, args.kind)
-    report = {
-        "command": "validate",
-        "kind": report_obj.kind,
-        "n": report_obj.n,
-        "ok": report_obj.ok,
-        "detail": report_obj.detail,
-        "locus": _subset_list(report_obj.locus),
-    }
-    return report, EXIT_TRUE if report_obj.ok else EXIT_FALSE
+    rep = validate_sign_matrix(doc.value, args.kind)
+    return {"command": "validate", **_jsonable(rep)}, EXIT_TRUE if rep.ok else EXIT_FALSE
 
 
 def _cmd_spectra(args):
     doc = _load(args.input, "sign_matrix")
     rep = verify_deletion_spectra(doc.value, args.max_deletions)
-    failure = None
+    report = {"command": "spectra", **_jsonable(rep)}
     if rep.failure is not None:
-        deleted, expected, actual = rep.failure
-        failure = {
-            "deleted": _subset_list(deleted),
-            "expected": _poly_dict(expected),
-            "actual": _poly_dict(actual),
-        }
-    report = {
-        "command": "spectra",
-        "n": rep.n,
-        "t": rep.t,
-        "max_deletions": rep.max_deletions,
-        "ok": rep.ok,
-        "polys_checked": rep.polys_checked,
-        "failure": failure,
-    }
+        report["failure"] = dict(zip(("deleted", "expected", "actual"), report["failure"]))
     return report, EXIT_TRUE if rep.ok else EXIT_FALSE
 
 

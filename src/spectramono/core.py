@@ -30,6 +30,7 @@ from .scalars import (
     _failed,
     _pairs_match,
     _too_close,
+    close,
     negligible,
     ratio,
     real,
@@ -154,8 +155,9 @@ class HermitianStructure:
         )
 
     def __hash__(self):
-        # the approx labels raise the TypeError of GaussianScalar
-        return hash(self._matrix if self.mode == EXACT else self.labels)
+        if self.mode == APPROX:
+            raise TypeError("approx structures compare within eps and cannot hash")
+        return hash(self._matrix)
 
     def __repr__(self):
         return f"HermitianStructure(n={self.n}, mode={self.mode!r})"
@@ -544,6 +546,10 @@ class Selector:
 
     values, the GaussianScalars, is a view of the pairs (see _scalars_of),
     built on its first read and kept, whichever route built the selector.
+    Exact equality and hashing read the values and scale_sq. Approx
+    selectors compare their pairs by the rule of _pairs_match and scale_sq
+    relative to the larger one, as approx structures compare their labels,
+    and do not hash.
     """
 
     __slots__ = ("scale_sq", "mode", "_pairs", "_values")
@@ -609,9 +615,13 @@ class Selector:
         if other.n != self.n:
             return False
         s, t = self.scale_sq, other.scale_sq
-        if s != t and not negligible(s - t, 0, self.mode):
-            return False
-        return all(a == b for a, b in zip(self.values, other.values))
+        if self.mode == EXACT:
+            return s == t and self.values == other.values
+        # the smaller over the larger: s / t overflows to inf, which close
+        # takes for 1, when s is more than 1.8e308 times t
+        return (s == t or close(min(s, t) / max(s, t), 1, APPROX)) and all(
+            _pairs_match(p, q, APPROX) for p, q in zip(self._pairs[0], other._pairs[0])
+        )
 
     def __hash__(self):
         if self.mode == APPROX:

@@ -129,37 +129,23 @@ def document_dict(value):
         # equal labels often share one scalar object; render each once
         distinct = {id(z): z for row in value.labels for z in row}
         texts = {key: z.to_text() for key, z in distinct.items()}
+        kind, mode = "hermitian", value.mode
         entries = [[texts[id(z)] for z in row] for row in value.labels]
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "hermitian",
-            "n": value.n,
-            "mode": value.mode,
-            "entries": entries,
-        }
-    if isinstance(value, Tournament):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "tournament",
-            "n": value.n,
-            "mode": EXACT,
-            "entries": [
-                ["1" if row >> j & 1 else "0" for j in range(value.n)]
-                for row in value.rows
-            ],
-        }
-    if isinstance(value, SignMatrix):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "sign_matrix",
-            "n": value.n,
-            "mode": EXACT,
-            "entries": [
-                [str(value.entries[i][j]) for j in range(value.n)]
-                for i in range(value.n)
-            ],
-        }
-    raise InputError(f"cannot serialize {type(value).__name__} as a document")
+    elif isinstance(value, Tournament):
+        kind, mode = "tournament", EXACT
+        entries = [["1" if row >> j & 1 else "0" for j in range(value.n)] for row in value.rows]
+    elif isinstance(value, SignMatrix):
+        kind, mode = "sign_matrix", EXACT
+        entries = [[str(e) for e in row] for row in value.entries]
+    else:
+        raise InputError(f"cannot serialize {type(value).__name__} as a document")
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "n": value.n,
+        "mode": mode,
+        "entries": entries,
+    }
 
 
 def serialize_document(value):

@@ -496,12 +496,19 @@ class TestScalarViews:
                 setattr(obj, name, None)
         assert g.labels[0][1] == I and d.values == (ONE,) * 3
 
-    def test_approx_structures_and_selectors_do_not_hash(self):
+    def test_approx_structures_and_selectors_do_not_hash(self, monkeypatch):
+        """They raise at once, without building the labels or values view."""
         g = genutil.approx_copy(i_representation(THREE_CYCLE))
         d = Selector.ones(3, APPROX)
+
+        def no_views(*args):
+            raise AssertionError("a view was built")
+
+        monkeypatch.setattr(core, "_scalars_of", no_views)
         for obj in (g, d):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="cannot hash"):
                 hash(obj)
+        monkeypatch.undo()
         assert g == genutil.approx_copy(i_representation(THREE_CYCLE))
 
 
@@ -846,6 +853,17 @@ class TestSelector:
         assert normalizing != Selector([ONE, UNIT_C, UNIT_C, UNIT_C], "1/3")
         with pytest.raises(ModeMixError, match="selectors of different modes"):
             normalizing == Selector.ones(4, APPROX)
+
+    def test_approx_equality_is_relative(self):
+        """Approx selectors compare scale_sq relative to the larger one and
+        the values by the rule of _pairs_match, as approx structures compare
+        their labels."""
+        one, big = GaussianScalar.approx(1.0), GaussianScalar.approx(1e10)
+        assert Selector.constant(2, one, 1e-18) != Selector.constant(2, one, 5e-18)
+        assert Selector.constant(2, one, 1e10) == Selector.constant(2, one, 1e10 * (1 + 2**-52))
+        assert Selector.constant(2, one, 1e300) != Selector.constant(2, one, 1e-300)
+        assert Selector.constant(2, big) == Selector.constant(2, GaussianScalar.approx(1e10 + 1))
+        assert Selector.constant(2, big) != Selector.constant(2, GaussianScalar.approx(1.001e10))
 
     def test_rejects_zero_value(self):
         with pytest.raises(InvariantError):
