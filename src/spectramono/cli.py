@@ -86,7 +86,7 @@ def _jsonable(value):
     if isinstance(value, Selector):
         scale = value.scale_sq
         return {
-            "values": _jsonable(value.values),
+            "values": [v.to_text() for v in value.values],
             "scale_sq": str(scale) if value.mode == EXACT else scale,
         }
     if isinstance(value, (HermitianStructure, Tournament, SignMatrix)):
