@@ -126,10 +126,10 @@ def parse_document(text):
 
 def document_dict(value):
     if isinstance(value, HermitianStructure):
+        kind, mode = "hermitian", value.mode
         # equal labels often share one scalar object; render each once
         distinct = {id(z): z for row in value.labels for z in row}
         texts = {key: z.to_text() for key, z in distinct.items()}
-        kind, mode = "hermitian", value.mode
         entries = [[texts[id(z)] for z in row] for row in value.labels]
     elif isinstance(value, Tournament):
         kind, mode = "tournament", EXACT
