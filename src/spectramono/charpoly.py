@@ -14,15 +14,17 @@ each coefficient is checked and formed within the tolerance of scalars.
 Enumerations slice principal submatrices of one such matrix instead of
 building substructures; in exact mode those of order at most three are
 read from their labels in closed form (_closed_form). Determinants come
-from an independent elimination, fraction-free Bareiss elimination with
-the largest-norm pivot, one loop in both modes: over the Gaussian
+from an independent elimination, fraction-free Bareiss elimination, one
+loop in both modes: with the first nonzero pivot over the Gaussian
 integers in exact mode (det M = det A / D^n), where each division by the
-previous pivot is checked to be exact, and on complex floats in approx
-mode. So the identity P(0) = (-1)^n det M is a genuine cross-check rather
-than a tautology.
+previous pivot is checked to be exact, and with the largest-norm pivot on
+complex floats in approx mode. So the identity P(0) = (-1)^n det M is a
+genuine cross-check rather than a tautology.
 
 In exact mode the same recurrence pass can also accumulate the adjugates
-adj(x_j I - A) at integer points x_j above the spectrum of A. From them
+adj(x_j I - A) at integer points x_j above the spectrum of A. They are
+Hermitian, so only their upper triangles are accumulated and stored, row
+by row (_upper gives the position of an entry). From them
 _first_deletion_miss checks principal submatrices of order n - 1, n - 2 or
 n - 3 against a target polynomial through Jacobi's complementary minors,
 with the recurrence as its cross-check; large-k enumeration and the
@@ -199,15 +201,22 @@ def _recurrence(a, mode, points=()):
 
     For each integer x in points (exact mode) the same pass also returns
     adj(xI - A) = x^(n-1) I + x^(n-2) N_1 + ... + N_(n-1), accumulated by
-    one Horner step per N_k, as a pair of flat row-major lists (re, im).
+    one Horner step per N_k. Every N_k is Hermitian, and so is each
+    adjugate, so only the entries (i, j) with i <= j are accumulated: each
+    adjugate is a pair of flat lists (re, im) of the upper triangle, row by
+    row, with (i, j) at _upper(n, i, j). The entry (j, i) is the conjugate
+    of (i, j).
     """
     n = len(a)
     descending = [1]
     adjugates = []
     if points:
+        diagonal_at = [_upper(n, i, i) for i in range(n)]
         # each Horner step below builds new lists, so the points can share I
-        identity = [1 if i == j else 0 for i in range(n) for j in range(n)]
-        adjugates = [(identity, [0] * (n * n)) for _ in points]
+        identity = [0] * (n * (n + 1) // 2)
+        for i in diagonal_at:
+            identity[i] = 1
+        adjugates = [(identity, [0] * len(identity)) for _ in points]
     mk = a
     diagonal = [row[i] for i, row in enumerate(a)]
     for k in range(1, n + 1):
@@ -240,9 +249,10 @@ def _recurrence(a, mode, points=()):
         if k == n:
             break
         if points:
-            n_re = [re for row in mk for re, _ in row]
-            n_im = [im for row in mk for _, im in row]
-            for i in range(0, n * n, n + 1):
+            upper = [pair for i, row in enumerate(mk) for pair in row[i:]]
+            n_re = [re for re, _ in upper]
+            n_im = [im for _, im in upper]
+            for i in diagonal_at:
                 n_re[i] += ck
             adjugates = [
                 (
@@ -268,6 +278,13 @@ def _recurrence(a, mode, points=()):
         else:
             diagonal = [_pair_dot(row, col) for row, col in zip(a, cols)]
     return descending, adjugates
+
+
+def _upper(n, i, j):
+    """Position of entry (i, j), i <= j, of an n x n matrix in the flat list
+    of its upper triangle, row by row: row i starts after the n, n - 1, ...,
+    n - i + 1 entries of the rows above it."""
+    return i * n - i * (i - 1) // 2 + j - i
 
 
 def _polynomial(descending, d):
@@ -309,20 +326,23 @@ def _complementary_minors(adjugates, n, t, count):
     P_A(x_j)^(|t| - 1) * P_{A[S]}(x_j) for S the complement of t, so the
     characteristic polynomial of every principal submatrix of order n - |t|
     can be read off the adjugates at the points. The adjugates are
-    Hermitian, which the closed forms of the minors use."""
+    Hermitian, which the closed forms of the minors use: they come in the
+    upper-triangle layout of _recurrence, and t is sorted ascending, as
+    colex_subsets gives it, so the entries (a, b) with a < b in t are the
+    stored ones and the minors need no conjugate."""
     if len(t) == 1:
-        i = t[0] * (n + 1)
+        i = _upper(n, t[0], t[0])
         return [re[i] for re, _ in adjugates[:count]]
     if len(t) == 2:
         a, b = t
-        aa, bb, ab = a * (n + 1), b * (n + 1), a * n + b
+        aa, bb, ab = _upper(n, a, a), _upper(n, b, b), _upper(n, a, b)
         return [
             re[aa] * re[bb] - re[ab] * re[ab] - im[ab] * im[ab]
             for re, im in adjugates[:count]
         ]
     a, b, c = t
-    aa, bb, cc = a * (n + 1), b * (n + 1), c * (n + 1)
-    ab, ac, bc = a * n + b, a * n + c, b * n + c
+    aa, bb, cc = _upper(n, a, a), _upper(n, b, b), _upper(n, c, c)
+    ab, ac, bc = _upper(n, a, b), _upper(n, a, c), _upper(n, b, c)
     minors = []
     for re, im in adjugates[:count]:
         ea, eb, ec = re[aa], re[bb], re[cc]
@@ -424,8 +444,9 @@ def _det(a, n, mode):
     """Determinant of a matrix of (re, im) pairs by fraction-free Bareiss
     elimination (Bareiss 1968, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination"), one loop for both modes.
-    Each step swaps in the row whose pivot has the largest norm
-    re * re + im * im. After step k each remaining entry is a minor of
+    Each step swaps in a row with a nonzero pivot: in exact mode the first
+    one, and in approx mode the one of largest norm re * re + im * im, to
+    keep the rounding small. After step k each remaining entry is a minor of
     order k + 2 of the row-permuted matrix, formed as
     (pivot * row[c] - row[k] * top[c]) / prev. Only that division depends
     on the mode: on Gaussian integers it is exact in Z[i], and exact mode
@@ -436,9 +457,11 @@ def _det(a, n, mode):
     sign = 1
     exact = mode == EXACT
     for k in range(n - 1):
-        norms = [re * re + im * im for re, im in [row[k] for row in a[k:]]]
-        largest = max(norms)
-        pivot = k + norms.index(largest)
+        if exact:
+            pivot = next((i for i in range(k, n) if a[i][k] != (0, 0)), k)
+        else:
+            norms = [re * re + im * im for re, im in [row[k] for row in a[k:]]]
+            pivot = k + norms.index(max(norms))
         if a[pivot][k] == (0, 0):
             return 0, 0
         if pivot != k:
@@ -465,7 +488,7 @@ def _det(a, n, mode):
                         )
                 row[c] = (re, im)
         prev_re, prev_im = top[k]
-        norm = largest  # |prev|^2, the divisor of exact mode
+        norm = prev_re * prev_re + prev_im * prev_im  # the divisor of exact mode
     re, im = a[n - 1][n - 1]
     return sign * re, sign * im
 

@@ -8,6 +8,7 @@ translate between the views exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +18,6 @@ from .charpoly import (
     _first_deletion_miss,
     _polynomial,
     char_poly,  # noqa: F401 - not called here; bench/tracing.py rebinds it
-    poly_x_squared_minus,
 )
 from .combinat import colex_subsets
 from .core import Tournament, _from_pairs, _require, _tuple_of
@@ -357,20 +357,27 @@ def closed_form_deletion_poly(t, d):
 
     Requires t >= 1; at t = 0 the d = 3 exponent goes negative and the
     order-4 matrices are degenerate for this family, so they are rejected.
+
+    The coefficients are built in ints: (x^2 - q)^e, e = 2t + 2 - d, by the
+    binomial theorem, with C(e, i) (-q)^(e - i) at x^(2i), times the factor
+    1, x, x^2 - 1 or x^3 - 3x as a sum of shifted copies. Only the result
+    becomes a RealPolynomial.
     """
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise InputError(f"t must be an int >= 1, got {t!r}")
     if not isinstance(d, int) or isinstance(d, bool) or d not in (0, 1, 2, 3):
         raise InputError(f"d must be 0, 1, 2 or 3, got {d!r}")
-    base = poly_x_squared_minus(4 * t + 3, EXACT)
-    x = RealPolynomial([0, 1], EXACT)
-    if d == 0:
-        return base.power(2 * t + 2)
-    if d == 1:
-        return x.multiply(base.power(2 * t + 1))
-    if d == 2:
-        return poly_x_squared_minus(1, EXACT).multiply(base.power(2 * t))
-    return x.multiply(poly_x_squared_minus(3, EXACT)).multiply(base.power(2 * t - 1))
+    q, e = 4 * t + 3, 2 * t + 2 - d
+    power = [0] * (2 * e + 1)
+    for i in range(e + 1):
+        power[2 * i] = math.comb(e, i) * (-q) ** (e - i)
+    factor = ((1,), (0, 1), (-1, 0, 1), (0, -3, 0, 1))[d]
+    coefficients = [0] * (len(power) + len(factor) - 1)
+    for shift, f in enumerate(factor):
+        if f:
+            for j, c in enumerate(power):
+                coefficients[j + shift] += f * c
+    return RealPolynomial(coefficients, EXACT)
 
 
 @dataclass(frozen=True)

@@ -617,8 +617,8 @@ class Selector:
         s, t = self.scale_sq, other.scale_sq
         if self.mode == EXACT:
             return s == t and self.values == other.values
-        # the smaller over the larger: s / t overflows to inf, which close
-        # takes for 1, when s is more than 1.8e308 times t
+        # the smaller over the larger, so that the test is symmetric and the
+        # ratio cannot overflow
         return (s == t or close(min(s, t) / max(s, t), 1, APPROX)) and all(
             _pairs_match(p, q, APPROX) for p, q in zip(self._pairs[0], other._pairs[0])
         )

@@ -73,10 +73,13 @@ def set_eps(value):
 
 
 def close(a, b, mode):
-    """a == b in exact mode; |a - b| <= eps * max(1, |a|, |b|) in approx mode."""
+    """a == b in exact mode; |a - b| <= eps * max(1, |a|, |b|) in approx mode,
+    with a finite tolerance: a non-finite value is close only to an equal
+    value, where an infinite tolerance would take inf to be close to
+    everything."""
     if mode == EXACT:
         return a == b
-    return abs(a - b) <= _eps * max(1.0, abs(a), abs(b))
+    return a == b or abs(a - b) <= _eps * max(1.0, abs(a), abs(b)) < math.inf
 
 
 def negligible(x, ref, mode):

@@ -434,16 +434,25 @@ class TestKernelParity:
                 assert _det(self._shifted(a, x), n, EXACT) == (self._value(descending, x), 0)
 
     def test_adjugates_invert_the_shifted_matrix(self):
+        """Each adjugate holds the upper triangle row by row; the full
+        matrix is rebuilt from it by conjugation, and adj (xI - A) must be
+        P(x) I."""
         for a in self._matrices():
             n = len(a)
             points = list(range(-3, n - 2))
             descending, adjugates = _recurrence(a, EXACT, points)
             assert descending == _recurrence(a, EXACT)[0]
             for x, (adj_re, adj_im) in zip(points, adjugates):
+                assert len(adj_re) == len(adj_im) == n * (n + 1) // 2
+                entries = iter(zip(adj_re, adj_im))
+                adj = [[None] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        re, im = next(entries)
+                        adj[i][j], adj[j][i] = (re, im), (re, -im)
                 b = self._shifted(a, x)
                 value = self._value(descending, x)
-                for i in range(n):
-                    row = list(zip(adj_re[i * n : (i + 1) * n], adj_im[i * n : (i + 1) * n]))
+                for i, row in enumerate(adj):
                     for j, col in enumerate(zip(*b)):
                         assert _pair_dot(row, col) == (value if i == j else 0, 0)
 

@@ -284,6 +284,28 @@ class TestClosedForms:
         )
         assert closed_form_deletion_poly(2, 2) == expected
 
+    @staticmethod
+    def _by_products(t, d):
+        """The closed form built by RealPolynomial.power and multiply: the
+        oracle of the integer construction."""
+        base = poly_x_squared_minus(4 * t + 3, EXACT)
+        x = RealPolynomial([0, 1], EXACT)
+        if d == 0:
+            return base.power(2 * t + 2)
+        if d == 1:
+            return x.multiply(base.power(2 * t + 1))
+        if d == 2:
+            return poly_x_squared_minus(1, EXACT).multiply(base.power(2 * t))
+        return x.multiply(poly_x_squared_minus(3, EXACT)).multiply(base.power(2 * t - 1))
+
+    def test_matches_the_polynomial_products(self):
+        for t in range(1, 9):
+            for d in range(4):
+                poly = closed_form_deletion_poly(t, d)
+                assert poly.mode == EXACT
+                assert poly.degree == 4 * t + 4 - d
+                assert poly.coefficients == self._by_products(t, d).coefficients
+
     def test_rejects_order_four(self):
         with pytest.raises(InputError):
             closed_form_deletion_poly(0, 0)
@@ -306,6 +328,18 @@ class TestDeletionSpectra:
         report = verify_deletion_spectra(s, max_deletions=1)
         assert report.ok
         assert report.polys_checked == 13
+
+    def test_multiplies_no_polynomials(self, monkeypatch):
+        """The closed forms are built in ints, so checking all 299 deletions
+        of order 12 never calls RealPolynomial.multiply (nor power, which
+        calls it)."""
+
+        def refuse(self, other):
+            raise AssertionError("RealPolynomial.multiply called")
+
+        monkeypatch.setattr(RealPolynomial, "multiply", refuse)
+        report = verify_deletion_spectra(skew_adjacency(hat(paley_tournament(11))))
+        assert report.ok and report.polys_checked == 299
 
     def test_zero_deletion_matches_char_poly(self):
         s = minus_identity(skew_hadamard_from_drt(paley_tournament(7)))

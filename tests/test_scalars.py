@@ -340,6 +340,18 @@ class TestTolerance:
         finally:
             set_eps(old)
 
+    def test_non_finite_values_are_close_only_to_themselves(self):
+        """An infinite value would make the tolerance infinite, and so close
+        to every finite value."""
+        inf, nan = float("inf"), float("nan")
+        assert RealPolynomial([inf, 1.0], APPROX) != RealPolynomial([5.0, 1.0], APPROX)
+        assert RealPolynomial([inf, 1.0], APPROX) == RealPolynomial([inf, 1.0], APPROX)
+        assert close(inf, inf, APPROX) and close(-inf, -inf, APPROX)
+        for a, b in [(inf, 5.0), (5.0, inf), (-inf, 1e308), (inf, -inf), (nan, nan), (nan, 0.0)]:
+            assert not close(a, b, APPROX)
+        # a difference that overflows between finite values is not close either
+        assert not close(1.7e308, -1.7e308, APPROX)
+
 
 def test_only_scalars_reads_the_tolerance():
     """scalars owns every tolerance test: no other module names get_eps or
