@@ -286,9 +286,10 @@ def _cmd_c3(args):
             f"--pair must name two distinct vertices different from the "
             f"dominating vertex {dominator}"
         )
-    others = [v for v in range(t.n) if v != dominator]
-    sub = t.subtournament(others)
-    c3, o3 = pair_cycle_counts(sub, others.index(x), others.index(y))
+    c3, o3 = pair_cycle_counts(t, x, y)
+    # the dominator beats x and y, so it closes no 3-cycle with them and
+    # makes exactly one transitive triple
+    o3 -= 1
     report = {
         "command": "c3",
         "n": g.n,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from operator import mul
 from typing import Optional
 
 from .charpoly import (
@@ -65,13 +67,6 @@ class SignMatrix:
         return f"SignMatrix({self.n}x{self.n})"
 
 
-def _gram(a, b):
-    """Integer product a @ b for small square int matrices (rows of tuples)."""
-    n = len(a)
-    bt = tuple(zip(*b))
-    return [[sum(ra[t] * cb[t] for t in range(n)) for cb in bt] for ra in a]
-
-
 def hat(t):
     """Extend t by a new vertex 0 dominating every original vertex."""
     _require(t, Tournament, "hat")
@@ -118,63 +113,47 @@ def validate_sign_matrix(m, kind):
     hadamard:         all entries +-1, H H^T = H^T H = n I
     skew_hadamard:    hadamard and H + H^T = 2 I
 
-    The report carries the first failing entry position as locus.
+    One pass serves the four kinds: the zero scan, the skew scan for the
+    skew kinds, then the Gram matrix of the columns (M^T M) for the
+    conference kinds or of the rows (H H^T) for the Hadamard kinds. The
+    report carries the first failing entry position as locus.
     """
     _require(m, SignMatrix, "validate_sign_matrix")
     if kind not in _SIGN_KINDS:
         raise InputError(f"kind must be one of {_SIGN_KINDS}, got {kind!r}")
     n = m.n
     e = m.entries
+    conference = kind.endswith("conference")
+    diagonal = 0 if conference else 1
 
-    def fail(detail, locus=None):
+    def fail(detail, locus):
         return SignValidationReport(kind=kind, n=n, ok=False, detail=detail, locus=locus)
 
-    if kind in ("conference", "skew_conference"):
-        for i in range(n):
-            if e[i][i] != 0:
-                return fail(f"diagonal entry ({i},{i}) is {e[i][i]}, expected 0", (i, i))
-            for j in range(n):
-                if i != j and e[i][j] == 0:
-                    return fail(f"off-diagonal entry ({i},{j}) is 0", (i, j))
-        if kind == "skew_conference":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if e[i][j] + e[j][i] != 0:
-                        return fail(
-                            f"entries ({i},{j}) and ({j},{i}) are not negatives",
-                            (i, j),
-                        )
-        gram = _gram(tuple(zip(*e)), e)
-        for i in range(n):
-            for j in range(n):
-                want = n - 1 if i == j else 0
-                if gram[i][j] != want:
-                    return fail(
-                        f"(M^T M)[{i}][{j}] = {gram[i][j]}, expected {want}", (i, j)
-                    )
-        return SignValidationReport(kind=kind, n=n, ok=True)
-
-    for i in range(n):
-        for j in range(n):
-            if e[i][j] == 0:
-                return fail(f"entry ({i},{j}) is 0, expected +-1", (i, j))
-    if kind == "skew_hadamard":
-        for i in range(n):
-            if e[i][i] != 1:
-                return fail(f"diagonal entry ({i},{i}) is {e[i][i]}, expected 1", (i, i))
+    zero = "off-diagonal entry ({},{}) is 0" if conference else "entry ({},{}) is 0, expected +-1"
+    for i, row in enumerate(e):
+        if conference and row[i]:
+            return fail(f"diagonal entry ({i},{i}) is {row[i]}, expected 0", (i, i))
+        for j, v in enumerate(row):
+            if v == 0 and (i != j or not conference):
+                return fail(zero.format(i, j), (i, j))
+    if kind.startswith("skew"):
+        negatives = "are not negatives" if conference else "do not sum to 0"
+        for i, row in enumerate(e):
+            # a conference diagonal is already 0 here
+            if row[i] != diagonal:
+                return fail(f"diagonal entry ({i},{i}) is {row[i]}, expected {diagonal}", (i, i))
             for j in range(i + 1, n):
-                if e[i][j] + e[j][i] != 0:
-                    return fail(
-                        f"entries ({i},{j}) and ({j},{i}) do not sum to 0", (i, j)
-                    )
+                if row[j] + e[j][i]:
+                    return fail(f"entries ({i},{j}) and ({j},{i}) {negatives}", (i, j))
     # H H^T = n I makes H^T = n H^-1 over the rationals, so H^T H = n I
     # follows and needs no check of its own
-    gram = _gram(e, tuple(zip(*e)))
-    for i in range(n):
-        for j in range(n):
-            want = n if i == j else 0
-            if gram[i][j] != want:
-                return fail(f"(H H^T)[{i}][{j}] = {gram[i][j]}, expected {want}", (i, j))
+    vectors, gram, scale = (tuple(zip(*e)), "M^T M", n - 1) if conference else (e, "H H^T", n)
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            value = sum(map(mul, u, v))
+            want = scale if i == j else 0
+            if value != want:
+                return fail(f"({gram})[{i}][{j}] = {value}, expected {want}", (i, j))
     return SignValidationReport(kind=kind, n=n, ok=True)
 
 
@@ -209,14 +188,10 @@ def is_doubly_regular(t):
     if n < 3:
         return None
     masks = [t.in_mask(v) for v in range(n)]
-    common = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = (masks[u] & masks[v]).bit_count()
-            if common is None:
-                common = c
-            elif c != common:
-                return None
+    common = (masks[0] & masks[1]).bit_count()
+    for u, v in combinations(range(n), 2):
+        if (masks[u] & masks[v]).bit_count() != common:
+            return None
     if n != 4 * common + 3:
         raise InvariantError(
             f"pair domination is constant at {common} but n={n} != {4 * common + 3}"
@@ -242,16 +217,10 @@ def is_homogeneous(t):
     n = t.n
     if n < 3:
         return HomogeneityReport(homogeneous=False, k=0)
-    first_pair = None
-    k = None
-    for x in range(n):
-        for y in range(x + 1, n):
-            c3, _ = pair_cycle_counts(t, x, y)
-            if k is None:
-                k = c3
-                first_pair = (x, y)
-            elif c3 != k:
-                return HomogeneityReport(homogeneous=False, witness=(first_pair, (x, y)))
+    k, _ = pair_cycle_counts(t, 0, 1)
+    for x, y in combinations(range(n), 2):
+        if pair_cycle_counts(t, x, y)[0] != k:
+            return HomogeneityReport(homogeneous=False, witness=((0, 1), (x, y)))
     if k == 0:
         # constant C3 = 0 means no 3-cycles at all, i.e. transitive
         return HomogeneityReport(homogeneous=False, k=0)
@@ -324,20 +293,19 @@ def drt_from_skew_hadamard(h):
     Conjugating by D = diag(h[0][j]) preserves both defining identities and
     turns row 0 into all ones; deleting row and column 0 then leaves
     K = A - A^T + I for the adjacency matrix A of the tournament returned.
+    Each entry d_i h_ij d_j of D H D is tested where it is read; the
+    conjugate itself is never built.
     """
     report = validate_sign_matrix(h, "skew_hadamard")
     if not report.ok:
         raise InputError(f"not a skew Hadamard matrix: {report.detail}")
     n = h.n
     d = h.entries[0]
-    normalized = [
-        [d[i] * h.entries[i][j] * d[j] for j in range(n)] for i in range(n)
-    ]
     rows = []
     for i in range(1, n):
         row = 0
         for j in range(1, n):
-            if i != j and normalized[i][j] == 1:
+            if i != j and d[i] * h.entries[i][j] * d[j] == 1:
                 row |= 1 << (j - 1)
         rows.append(row)
     t = Tournament(n - 1, rows)

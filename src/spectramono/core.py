@@ -441,12 +441,11 @@ class Tournament:
         return self.rows[i].bit_count()
 
     def in_mask(self, i):
+        """Bitmask of the vertices that beat i: the complement of row i
+        without i itself, since the constructor checks that every pair is
+        oriented exactly one way."""
         _check_vertex(self.n, i)
-        mask = 0
-        for j in range(self.n):
-            if j != i and self.rows[j] >> i & 1:
-                mask |= 1 << j
-        return mask
+        return ((1 << self.n) - 1) & ~self.rows[i] & ~(1 << i)
 
     def matrix(self):
         return [

@@ -380,6 +380,11 @@ class TestClassifyMidK:
         with pytest.raises(TheoremRangeError):
             classify_mid_k(c_representation(transitive_tournament(7), UNIT_C), 4)
 
+    def test_k_must_be_an_int(self):
+        g = c_representation(transitive_tournament(9), UNIT_C)
+        with pytest.raises(InputError, match=r"^k must be an int, got 4\.0$"):
+            classify_mid_k(g, 4.0)
+
 
 class TestClassifyNMinus3:
     def test_recovers_doubly_regular_base(self):
@@ -510,6 +515,11 @@ class TestC3ViaDeterminants:
         g = i_representation(hat(paley_tournament(7)))
         with pytest.raises(InputError):
             c3_via_determinants(g, 0, 1, 1)
+
+    def test_requires_four_vertices(self):
+        g = i_representation(transitive_tournament(3))
+        with pytest.raises(InputError, match=r"^need n >= 4, got 3$"):
+            c3_via_determinants(g, 0, 1, 2)
 
 
 class TestIntegerKernels:

@@ -16,10 +16,13 @@ from pathlib import Path
 import pytest
 
 import genutil
+from spectramono import constructions
+from spectramono.charpoly import RealPolynomial
 from spectramono.cli import main
 from spectramono.constructions import (
     SignMatrix,
     hat,
+    pair_cycle_counts,
     paley_tournament,
     skew_adjacency,
     skew_hadamard_from_drt,
@@ -35,7 +38,7 @@ from spectramono.core import (
     transitive_tournament,
 )
 from spectramono.documents import serialize_document
-from spectramono.scalars import GaussianScalar, get_eps, rational, set_eps
+from spectramono.scalars import EXACT, GaussianScalar, get_eps, rational, set_eps
 
 UNIT_C = GaussianScalar.exact("3/5", "4/5")
 
@@ -268,6 +271,30 @@ class TestSpectra:
         assert report["polys_checked"] == 1 + 8 + 28
         assert report["failure"] is None
 
+    def test_failure_report(self, tmp_path, capsys, monkeypatch):
+        """A closed form that is wrong at d = 2 fails at the first 2-deletion;
+        the report names it with the expected and the actual polynomial."""
+        right = constructions.closed_form_deletion_poly
+
+        def wrong(t, d):
+            poly = right(t, d)
+            if d != 2:
+                return poly
+            return RealPolynomial([poly.coefficients[0] + 1, *poly.coefficients[1:]], EXACT)
+
+        monkeypatch.setattr(constructions, "closed_form_deletion_poly", wrong)
+        s = minus_identity(skew_hadamard_from_drt(paley_tournament(7)))
+        path = write_doc(tmp_path, "conf8.json", s)
+        code, report = run(capsys, "spectra", "--input", path)
+        assert code == 1
+        assert report["ok"] is False
+        assert report["polys_checked"] == 1 + 8 + 1
+        failure = report["failure"]
+        assert sorted(failure) == ["actual", "deleted", "expected"]
+        assert failure["deleted"] == [0, 1]
+        assert failure["expected"]["display"] == "x^6-15x^4+63x^2-48"
+        assert failure["actual"]["display"] == "x^6-15x^4+63x^2-49"
+
     def test_order_four_rejected(self, tmp_path, capsys):
         s = minus_identity(skew_hadamard_from_drt(paley_tournament(3)))
         path = write_doc(tmp_path, "conf4.json", s)
@@ -334,6 +361,45 @@ class TestC3:
         code, report = run(capsys, "c3", "--input", path, "--pair", "1,2")
         assert code == 2
         assert "imaginary" in report["error"]["message"]
+
+    def test_counts_match_the_subtournament(self, tmp_path, capsys):
+        """On a relabelled hat(Paley-11) whose dominating vertex is not 0,
+        every ordered pair reports the counts of pair_cycle_counts on the
+        tournament without the dominating vertex, by both methods."""
+        r = genutil.rng(28)
+        t = hat(paley_tournament(11))
+        perm = list(range(t.n))
+        while perm[0] == 0:
+            r.shuffle(perm)
+        rows = [0] * t.n
+        for a, b in t.arcs():
+            rows[perm[a]] |= 1 << perm[b]
+        relabelled = Tournament(t.n, rows)
+        path = write_doc(tmp_path, "relabelled.json", i_representation(relabelled))
+        dominator = perm[0]
+        others = [v for v in range(t.n) if v != dominator]
+        sub = relabelled.subtournament(others)
+        for x in others:
+            for y in others:
+                if x == y:
+                    continue
+                c3, o3 = pair_cycle_counts(sub, others.index(x), others.index(y))
+                for extra in ((), ("--via-determinants",)):
+                    code, report = run(capsys, "c3", "--input", path, "--pair", f"{x},{y}", *extra)
+                    assert code == 0
+                    assert report["dominating_vertex"] == dominator
+                    assert (report["pair"], report["c3"], report["o3"]) == ([x, y], c3, o3)
+
+    def test_needs_a_dominating_vertex(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "paley7.json", i_representation(paley_tournament(7)))
+        code, report = run(capsys, "c3", "--input", path, "--pair", "1,2")
+        assert code == 2
+        assert report["error"]["message"] == "no vertex dominates all others; C3 counting needs one"
+
+    def test_pair_out_of_range(self, paley_hat_path, capsys):
+        code, report = run(capsys, "c3", "--input", paley_hat_path, "--pair", "1,8")
+        assert code == 2
+        assert report["error"]["message"] == "--pair out of range(8): 1,8"
 
 
 class TestErrorsAndEnvironment:

@@ -124,6 +124,138 @@ class TestValidateSignMatrix:
         with pytest.raises(InputError):
             validate_sign_matrix(SignMatrix([[0]]), "weighing")
 
+    @pytest.mark.parametrize(
+        "rows, kind, detail, locus",
+        [
+            ([[0, 1], [0, 0]], "conference", "off-diagonal entry (1,0) is 0", (1, 0)),
+            (
+                [[0, 1, 1], [-1, 0, 1], [-1, 1, 0]],
+                "skew_conference",
+                "entries (1,2) and (2,1) are not negatives",
+                (1, 2),
+            ),
+            ([[1, 1], [1, 0]], "hadamard", "entry (1,1) is 0, expected +-1", (1, 1)),
+            (
+                [[1, 1], [-1, -1]],
+                "skew_hadamard",
+                "diagonal entry (1,1) is -1, expected 1",
+                (1, 1),
+            ),
+        ],
+    )
+    def test_failure_messages(self, rows, kind, detail, locus):
+        report = validate_sign_matrix(SignMatrix(rows), kind)
+        assert (report.ok, report.detail, report.locus) == (False, detail, locus)
+
+
+def _two_branch_validate(m, kind):
+    """(ok, detail, locus) of validate_sign_matrix as it was written with one
+    branch for the conference kinds and one for the Hadamard kinds. It is
+    the oracle for the one-pass version: same messages, same first failure."""
+    n, e = m.n, m.entries
+    if kind in ("conference", "skew_conference"):
+        for i in range(n):
+            if e[i][i] != 0:
+                return False, f"diagonal entry ({i},{i}) is {e[i][i]}, expected 0", (i, i)
+            for j in range(n):
+                if i != j and e[i][j] == 0:
+                    return False, f"off-diagonal entry ({i},{j}) is 0", (i, j)
+        if kind == "skew_conference":
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if e[i][j] + e[j][i] != 0:
+                        return False, f"entries ({i},{j}) and ({j},{i}) are not negatives", (i, j)
+        cols = list(zip(*e))
+        for i in range(n):
+            for j in range(n):
+                value = sum(a * b for a, b in zip(cols[i], cols[j]))
+                want = n - 1 if i == j else 0
+                if value != want:
+                    return False, f"(M^T M)[{i}][{j}] = {value}, expected {want}", (i, j)
+        return True, None, None
+    for i in range(n):
+        for j in range(n):
+            if e[i][j] == 0:
+                return False, f"entry ({i},{j}) is 0, expected +-1", (i, j)
+    if kind == "skew_hadamard":
+        for i in range(n):
+            if e[i][i] != 1:
+                return False, f"diagonal entry ({i},{i}) is {e[i][i]}, expected 1", (i, i)
+            for j in range(i + 1, n):
+                if e[i][j] + e[j][i] != 0:
+                    return False, f"entries ({i},{j}) and ({j},{i}) do not sum to 0", (i, j)
+    for i in range(n):
+        for j in range(n):
+            value = sum(a * b for a, b in zip(e[i], e[j]))
+            want = n if i == j else 0
+            if value != want:
+                return False, f"(H H^T)[{i}][{j}] = {value}, expected {want}", (i, j)
+    return True, None, None
+
+
+def _sign_matrices(r, count):
+    """Seeded sign matrices near and far from the four kinds: the skew
+    conference and skew Hadamard matrices over hat(Paley-3/7/11), their
+    transposes and their images under a few random edits (an entry set,
+    a row or a column negated, two rows swapped, the identity added or
+    taken away), and random matrices of order 1 to 8 with a zero, unit or
+    random diagonal, some of them skew."""
+    bases = []
+    for q in (3, 7, 11):
+        s = skew_adjacency(hat(paley_tournament(q)))
+        bases += [s.entries, plus_identity(s).entries]
+    for _ in range(count):
+        if r.random() < 0.6:
+            rows = [list(row) for row in r.choice(bases)]
+            n = len(rows)
+            for _ in range(r.randrange(4)):
+                edit = r.randrange(6)
+                i, j = r.randrange(n), r.randrange(n)
+                if edit == 0:
+                    rows[i][j] = r.choice((-1, 0, 1))
+                elif edit == 1:
+                    rows[i] = [-v for v in rows[i]]
+                elif edit == 2:
+                    for row in rows:
+                        row[j] = -row[j]
+                elif edit == 3:
+                    rows[i], rows[j] = rows[j], rows[i]
+                elif edit == 4:
+                    rows = [list(row) for row in zip(*rows)]
+                else:
+                    shift = r.choice((-1, 1))
+                    for k in range(n):
+                        rows[k][k] = max(-1, min(1, rows[k][k] + shift))
+        else:
+            n = r.randrange(1, 9)
+            values = r.choice(((-1, 1), (-1, 0, 1)))
+            rows = [[r.choice(values) for _ in range(n)] for _ in range(n)]
+            if r.random() < 0.5:
+                for i in range(n):
+                    for j in range(i):
+                        rows[i][j] = -rows[j][i]
+            diagonal = r.choice((0, 1, None))
+            for i in range(n):
+                if diagonal is not None:
+                    rows[i][i] = diagonal
+        yield SignMatrix(rows)
+
+
+def test_validate_sign_matrix_matches_the_two_branch_oracle():
+    """Seeded (matrix, kind) cases get the oracle's ok, detail and locus."""
+    r = genutil.rng(28)
+    outcomes = set()
+    for m in _sign_matrices(r, 2000):
+        for kind in ("conference", "skew_conference", "hadamard", "skew_hadamard"):
+            report = validate_sign_matrix(m, kind)
+            want = _two_branch_validate(m, kind)
+            assert (report.ok, report.detail, report.locus) == want, (m.entries, kind)
+            outcomes.add((kind, want[0], want[1] and want[1].split(" ")[0]))
+    # every kind passes somewhere and fails at each of its checks: four
+    # outcomes for conference, five for skew_conference, three for
+    # hadamard and five for skew_hadamard
+    assert len(outcomes) == 17, sorted(outcomes, key=str)
+
 
 class TestPairCycleCounts:
     def test_three_cycle(self):
@@ -203,7 +335,7 @@ class TestHomogeneity:
         rows[4] |= 1
         report = is_homogeneous(Tournament(5, rows))
         assert not report.homogeneous
-        assert report.witness is not None
+        assert report.witness == ((0, 1), (0, 4))
 
     def test_agrees_with_double_regularity_at_seven(self):
         """Constant pair cycle counts and double regularity single each other

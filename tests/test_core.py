@@ -17,6 +17,7 @@ from spectramono.constructions import (
 )
 from spectramono.core import (
     ConstantRepresentationWarning,
+    EquivalenceReport,
     HermitianStructure,
     Selector,
     Tournament,
@@ -538,6 +539,17 @@ class TestTournament:
         assert [t.out_degree(v) for v in range(3)] == [1, 1, 1]
         assert sorted(t.arcs()) == [(0, 1), (1, 2), (2, 0)]
         assert t.dominates(2, 0) and not t.dominates(0, 2)
+
+    def test_in_mask_holds_the_vertices_that_beat_i(self):
+        r = genutil.rng(28)
+        for _ in range(50):
+            t = genutil.random_tournament(r, r.randrange(1, 10))
+            for i in range(t.n):
+                beaten_by = {j for j in range(t.n) if t.dominates(j, i)}
+                assert t.in_mask(i) == sum(1 << j for j in beaten_by)
+                assert t.reverse().rows[i] == t.in_mask(i)
+        with pytest.raises(InputError):
+            THREE_CYCLE.in_mask(3)
 
     def test_reverse_involution(self):
         r = genutil.rng(5)
@@ -1212,6 +1224,14 @@ class TestJitteredApproxNormalization:
 
 
 class TestAreEquivalent:
+    def test_one_vertex(self):
+        """Any two one-vertex structures of a mode are equivalent under the
+        all-ones selector."""
+        for mode, one in ((EXACT, ONE), (APPROX, GaussianScalar.approx(1.0))):
+            g = constant_structure(1, one)
+            report = are_equivalent(g, g)
+            assert report == EquivalenceReport(True, witness=Selector.ones(1, mode))
+
     def test_overflowing_phase_products_are_input_errors(self):
         """Phase products that overflow floats stop with an input error
         that names the labels, rather than deciding anything."""

@@ -645,6 +645,13 @@ class TestPouzetTransfer:
         with pytest.raises(InputError):
             pouzet_transfer_check({(1, 0): 1}, 2, 0, n=2)
 
+    def test_p_and_r_ranges(self):
+        table = {z: 1 for z in combinations(range(3), 2)}
+        with pytest.raises(InputError, match=r"^p must be a positive int, got 0$"):
+            pouzet_transfer_check(table, 0, 1, n=3)
+        with pytest.raises(InputError, match=r"^r must be a nonnegative int, got -1$"):
+            pouzet_transfer_check(table, 2, -1, n=3)
+
     def test_range_validation(self):
         table = {z: 1 for z in combinations(range(3), 2)}
         with pytest.raises(InputError):
