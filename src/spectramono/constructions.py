@@ -124,7 +124,6 @@ def validate_sign_matrix(m, kind):
     n = m.n
     e = m.entries
     conference = kind.endswith("conference")
-    diagonal = 0 if conference else 1
 
     def fail(detail, locus):
         return SignValidationReport(kind=kind, n=n, ok=False, detail=detail, locus=locus)
@@ -137,7 +136,7 @@ def validate_sign_matrix(m, kind):
             if v == 0 and (i != j or not conference):
                 return fail(zero.format(i, j), (i, j))
     if kind.startswith("skew"):
-        negatives = "are not negatives" if conference else "do not sum to 0"
+        diagonal, negatives = (0, "are not negatives") if conference else (1, "do not sum to 0")
         for i, row in enumerate(e):
             # a conference diagonal is already 0 here
             if row[i] != diagonal:

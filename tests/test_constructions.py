@@ -8,6 +8,7 @@ from spectramono.charpoly import RealPolynomial, char_poly, poly_x_squared_minus
 from spectramono.combinat import colex_subsets
 from spectramono.constructions import (
     DrtCertificate,
+    HomogeneityReport,
     SignMatrix,
     closed_form_deletion_poly,
     drt_from_skew_hadamard,
@@ -287,6 +288,15 @@ class TestDoublyRegular:
 
     def test_too_small(self):
         assert is_doubly_regular(transitive_tournament(2)) is None
+
+    def test_pairs_with_the_last_vertex_count(self):
+        """A sink below Paley-7 leaves every pair of the first seven
+        vertices one common dominator; the pairs with the sink have three,
+        so neither certificate holds."""
+        paley = paley_tournament(7)
+        t = Tournament(8, [row | 1 << 7 for row in paley.rows] + [0])
+        assert is_doubly_regular(t) is None
+        assert is_homogeneous(t) == HomogeneityReport(homogeneous=False, witness=((0, 1), (0, 7)))
 
 
 class TestPaley:

@@ -806,6 +806,24 @@ class TestJacobiRoute:
         with pytest.raises(InvariantError):
             monomorphy_profile(g)
 
+    def test_a_target_that_agrees_at_all_but_one_point_is_missed(self):
+        """Two monic polynomials of degree k are equal once they agree at k
+        points, and not before: a target that differs from a deletion's
+        polynomial by (x - x_1) ... (x - x_(k-1)) agrees with it at the
+        first k - 1 points and must still be missed at the k-th."""
+        a, _ = monomorphy._label_matrix(dominated_paley_seven())
+        n = len(a)
+        for deleted in ((0,), (2, 5), (1, 3, 4)):
+            k = n - len(deleted)
+            adjugates = charpoly._adjugates(a, k)
+            keep = [v for v in range(n) if v not in deleted]
+            actual, _ = charpoly._recurrence(charpoly._principal_submatrix(a, keep), EXACT)
+            product = [1]
+            for x in adjugates[1][: k - 1]:
+                product = [c - x * b for c, b in zip(product + [0], [0] + product)]
+            target = [actual[0]] + [c + p for c, p in zip(actual[1:], product)]
+            assert charpoly._first_deletion_miss(a, adjugates, [deleted], target) == (0, actual)
+
     def test_differing_minors_with_equal_polys_are_an_invariant_error(self, monkeypatch):
         """A subset whose minors differ from the reference's while its
         polynomial does not is a broken route, never a witness."""

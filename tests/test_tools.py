@@ -5,10 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+mutants = _load("mutants")
 
 SOURCE = '''"""A module docstring
 on two lines."""
@@ -36,7 +44,7 @@ def test_request_kinds_replays_one_paley_cli_round():
     """One line per request kind and --k, slowest median first, covering
     the 200 requests of a round."""
     done = subprocess.run(
-        [sys.executable, str(_PATH.parent / "request_kinds.py"), "3"],
+        [sys.executable, str(_TOOLS / "request_kinds.py"), "3"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -51,3 +59,36 @@ def test_request_kinds_replays_one_paley_cli_round():
     kinds = {(kind, k) for kind, k, _, _ in rows}
     assert len(kinds) == len(rows)
     assert {("spectra", "-"), ("all-k", "all"), ("classify-nondrt", "13")} <= kinds
+
+
+def test_mutant_catalogue_names_live_lines():
+    """Each entry's old text is in its file exactly once; an entry whose
+    text is gone, or is there twice, is reported."""
+    assert mutants.problems() == []
+    core = "src/spectramono/core.py"
+    stale = [
+        mutants.Mutant("gone", core, "no such text", ""),
+        mutants.Mutant("twice", core, "def ", ""),
+        mutants.Mutant("gone", "src/spectramono/nowhere.py", "x", ""),
+    ]
+    found = mutants.problems(stale)
+    assert found[0] == "gone: the name is used more than once"
+    assert found[1] == f"gone: old text found 0 times in {core}, not once"
+    assert found[2].startswith("twice: old text found ")
+    assert found[3] == "gone: no file src/spectramono/nowhere.py"
+
+
+def test_mutants_runs_one_entry_on_a_selection():
+    """The in_mask entry, run on the constructions tests alone, is killed
+    and the first failing test is named."""
+    done = subprocess.run(
+        [sys.executable, str(_TOOLS / "mutants.py"), "in_mask_keeps_i", "--", "tests/test_constructions.py"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    line, summary = done.stdout.splitlines()
+    assert line.split()[:2] == ["killed", "in_mask_keeps_i"]
+    assert line.split()[-1].startswith("tests/test_constructions.py::")
+    assert summary == "1 mutants, 0 marked equivalent, 0 others survived"
