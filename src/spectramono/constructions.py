@@ -292,8 +292,7 @@ def drt_from_skew_hadamard(h):
     Conjugating by D = diag(h[0][j]) preserves both defining identities and
     turns row 0 into all ones; deleting row and column 0 then leaves
     K = A - A^T + I for the adjacency matrix A of the tournament returned.
-    Each entry d_i h_ij d_j of D H D is tested where it is read; the
-    conjugate itself is never built.
+    Entry (i, j) of D H D is d_i h_ij d_j, read where it is tested.
     """
     report = validate_sign_matrix(h, "skew_hadamard")
     if not report.ok:
